@@ -61,7 +61,6 @@ from .hac import (
     build_dendrogram,
     clustering_from_json_dict,
     clustering_to_json,
-    complete_linkage_distance,
     cut_at_threshold,
 )
 from .patterns import (
@@ -73,7 +72,6 @@ from .patterns import (
     candidates_to_jsonl,
     compile_search_patterns,
     default_templates,
-    expand_patterns,
     load_pattern_file,
     scan_text,
 )
@@ -112,12 +110,10 @@ __all__ = [
     "clustering_from_json_dict",
     "clustering_to_json",
     "compile_search_patterns",
-    "complete_linkage_distance",
     "cut_at_threshold",
     "default_templates",
     "energy_distance_vector",
     "energy_matrix",
-    "expand_patterns",
     "format_cluster_report",
     "hamming_distance_vector",
     "identify_intruders",

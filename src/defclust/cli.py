@@ -233,17 +233,20 @@ def _distances(args, matrix):
 
 
 def _load_gold(path: str) -> GoldAnnotation:
-    """Gold file: JSONL of {"id", "sense"}, or a corpus with gold_sense."""
-    first = ""
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            first = line
-            break
-    if "gold_sense" in first:
-        docs = parse_jsonl_corpus(
-            Path(path).read_text(encoding="utf-8").splitlines(), origin=str(path)
-        )
-        return GoldAnnotation.from_documents(docs)
+    """Gold file: JSONL of {"id", "sense"}, or a corpus with gold_sense.
+
+    The first record decides: a ``gold_sense`` key marks a corpus.  Anything
+    else, unparsable lines included, goes to the gold-file reader, which
+    reports errors with their line numbers.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    first = next((line for line in lines if line.strip()), "")
+    try:
+        record = json.loads(first)
+    except json.JSONDecodeError:
+        record = None
+    if isinstance(record, dict) and "gold_sense" in record:
+        return GoldAnnotation.from_documents(parse_jsonl_corpus(lines, origin=str(path)))
     return GoldAnnotation.load(path)
 
 

@@ -89,6 +89,21 @@ def recall(clustering: Clustering, total: int) -> float:
     return clustering.grouped_count() / total
 
 
+def _majority_sense(group: Sequence, gold: GoldAnnotation):
+    """Most frequent gold sense in a group; ties as in identify_intruders."""
+    labels = []
+    for member in group:
+        try:
+            labels.append(gold.sense_of[member])
+        except KeyError:
+            raise DataError(f"no gold sense for grouped document {member!r}") from None
+    counts = Counter(labels)
+    top = max(counts.values())
+    return min(
+        (member, label) for member, label in zip(group, labels) if counts[label] == top
+    )[1]
+
+
 def identify_intruders(clustering: Clustering, gold: GoldAnnotation) -> set:
     """Members whose label conflicts with their group's majority sense.
 
@@ -97,23 +112,8 @@ def identify_intruders(clustering: Clustering, gold: GoldAnnotation) -> set:
     """
     intruders: set = set()
     for group in clustering.labeled_groups():
-        labels = []
-        for member in group:
-            try:
-                labels.append(gold.sense_of[member])
-            except KeyError:
-                raise DataError(
-                    f"no gold sense for grouped document {member!r}"
-                ) from None
-        counts = Counter(labels)
-        top = max(counts.values())
-        tied = {sense for sense, count in counts.items() if count == top}
-        group_sense = min(
-            (member, label) for member, label in zip(group, labels) if label in tied
-        )[1]
-        intruders.update(
-            member for member, label in zip(group, labels) if label != group_sense
-        )
+        sense = _majority_sense(group, gold)
+        intruders.update(member for member in group if gold.sense_of[member] != sense)
     return intruders
 
 
@@ -291,13 +291,7 @@ def format_cluster_report(
         members = sorted(group, key=str)
         header = f"group {k} ({len(members)} members"
         if gold is not None:
-            senses = Counter(gold.sense_of[m] for m in members)
-            top = max(senses.values())
-            tied = {s for s, c in senses.items() if c == top}
-            sense = min(
-                (m, gold.sense_of[m]) for m in members if gold.sense_of[m] in tied
-            )[1]
-            header += f", sense={sense}"
+            header += f", sense={_majority_sense(group, gold)}"
         lines.append(header + ")")
         for member in members:
             flag = "!" if member in intruders else " "

@@ -14,6 +14,11 @@ Tie-breaking: when several group pairs share the minimal distance, each
 group is represented by its smallest member index and the pair with the
 lexicographically least (smaller representative, larger representative)
 is merged.  This makes dendrograms identical across runs and platforms.
+The loop keeps each group in the square-matrix slot of its smallest
+member (a merge keeps the lower slot), so this rule is simply the first
+minimum of the active square in row-major order: that minimum has the
+least row, which is the smaller representative, and within the row the
+least column, which is the larger one.
 
 Threshold comparison is inclusive (<= alpha) and exact: no epsilon is
 applied, since distances arrive as deterministic values from the
@@ -27,11 +32,9 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
-
 import numpy as np
 
-from .distance import PairwiseDistances, pair_distance
+from .distance import PairwiseDistances
 
 
 @dataclass(frozen=True)
@@ -99,18 +102,6 @@ class Clustering:
         }
 
 
-def complete_linkage_distance(
-    a: Iterable[int], b: Iterable[int], dist: PairwiseDistances
-) -> float:
-    """Largest pairwise distance between a member of ``a`` and one of ``b``."""
-    set_a, set_b = set(a), set(b)
-    if not set_a or not set_b:
-        raise ValueError("clusters must be non-empty")
-    if set_a & set_b:
-        raise ValueError(f"clusters overlap: {sorted(set_a & set_b)}")
-    return max(pair_distance(dist, i, j) for i in set_a for j in set_b)
-
-
 def build_dendrogram(dist: PairwiseDistances) -> Dendrogram:
     """Agglomerate all items under complete linkage.
 
@@ -124,25 +115,13 @@ def build_dendrogram(dist: PairwiseDistances) -> Dendrogram:
         raise ValueError("need at least two items to cluster")
     d = dist.as_square()
     np.fill_diagonal(d, np.inf)
-    rep = np.arange(n)  # smallest original member of the cluster in each slot
     cluster_id = np.arange(n)
     merges = []
     for step in range(n - 1):
-        m = d.min()
-        rows, cols = np.nonzero(d == m)
-        best_key = None
-        best = (-1, -1)
-        for a, b in zip(rows, cols):
-            if a >= b:
-                continue
-            ra, rb = int(rep[a]), int(rep[b])
-            key = (ra, rb) if ra < rb else (rb, ra)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (int(a), int(b))
-        a, b = best
-        if rep[a] > rep[b]:
-            a, b = b, a
+        # The square is symmetric, so the first minimum lies above the
+        # diagonal: a < b, and a is the smallest member of the merged group.
+        a, b = divmod(int(d.argmin()), n)
+        m = d[a, b]
         # a keeps the merged cluster, b goes inactive
         merged_row = np.maximum(d[a], d[b])
         d[a, :] = merged_row

@@ -112,30 +112,14 @@ class CandidateContext:
         }
 
 
-def expand_patterns(
-    templates: Sequence[PatternTemplate], terms: Sequence[str]
-) -> list[str]:
-    """Cross product of templates and terms as literal search strings.
-
-    Templates-major, terms-minor order; duplicates dropped on the fly.
-    """
-    if not templates or not terms:
-        raise ValueError("need at least one template and one term")
-    seen: set[str] = set()
-    out: list[str] = []
-    for template in templates:
-        for term in terms:
-            text = template.instantiate(term)
-            if text not in seen:
-                seen.add(text)
-                out.append(text)
-    return out
-
-
 def compile_search_patterns(
     templates: Sequence[PatternTemplate], terms: Sequence[str]
 ) -> list[SearchPattern]:
-    """Like expand_patterns but keeps the originating template/term and regexes."""
+    """Cross product of templates and terms as search patterns.
+
+    Templates-major, terms-minor order; a pattern whose literal text
+    repeats an earlier one is dropped.
+    """
     if not templates or not terms:
         raise ValueError("need at least one template and one term")
     seen: set[str] = set()

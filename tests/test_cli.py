@@ -237,6 +237,21 @@ def test_eval_accepts_corpus_as_gold(clustering_file, corpus_file, capsys):
     assert result["precision"] == 0.8
 
 
+def test_eval_gold_file_whose_ids_mention_gold_sense(tmp_path, capsys):
+    clustering = tmp_path / "clustering.json"
+    clustering.write_text(
+        json.dumps({"alpha": 0.5, "groups": [["gold_sense-demo", "x"]], "ungrouped": []}),
+        encoding="utf-8",
+    )
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(
+        '{"id": "gold_sense-demo", "sense": "a"}\n{"id": "x", "sense": "b"}\n',
+        encoding="utf-8",
+    )
+    assert main(["eval", str(clustering), str(gold)]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == 0.5
+
+
 def test_eval_rejects_non_clustering_json(tmp_path, gold_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"alpha": 0.5}', encoding="utf-8")

@@ -259,6 +259,8 @@ def test_pairwise_distances_validation():
         PairwiseDistances(n=3, values=np.array([0.1, 0.2]))
     with pytest.raises(ValueError, match="0, 1"):
         PairwiseDistances(n=2, values=np.array([1.5]))
+    with pytest.raises(ValueError, match="0, 1"):
+        PairwiseDistances(n=3, values=np.array([0.2, np.nan, 0.5]))
 
 
 def test_csv_dumps_round_trip(tmp_path):

@@ -13,6 +13,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.cluster.hierarchy import linkage
 
 from defclust import (
     Clustering,
@@ -22,16 +24,21 @@ from defclust import (
     build_dendrogram,
     clustering_from_json_dict,
     clustering_to_json,
-    complete_linkage_distance,
     cut_at_threshold,
 )
 from defclust.hac import dendrogram_to_csv
 
 
 def naive_stop_early(square, alpha, min_size):
-    """Agglomerate from scratch; stop at the first minimal linkage > alpha."""
+    """Agglomerate from scratch; stop at the first minimal linkage > alpha.
+
+    Returns the groups, the ungrouped items and the merges made, each as
+    ``(left, right, distance, new_id)`` under the Dendrogram's numbering.
+    """
     n = len(square)
     clusters = [[i] for i in range(n)]
+    ids = list(range(n))
+    merges = []
     while len(clusters) > 1:
         best = None
         pick = None
@@ -48,12 +55,17 @@ def naive_stop_early(square, alpha, min_size):
         if best[0] > alpha:
             break
         ia, ib = pick
+        if min(clusters[ia]) > min(clusters[ib]):
+            ia, ib = ib, ia
+        new_id = n + len(merges)
+        merges.append((ids[ia], ids[ib], best[0], new_id))
         merged = clusters[ia] + clusters[ib]
-        clusters = [c for k, c in enumerate(clusters) if k not in (ia, ib)]
-        clusters.append(merged)
+        keep = [k for k in range(len(clusters)) if k not in (ia, ib)]
+        clusters = [clusters[k] for k in keep] + [merged]
+        ids = [ids[k] for k in keep] + [new_id]
     groups = sorted(tuple(sorted(c)) for c in clusters if len(c) >= min_size)
     ungrouped = tuple(sorted(i for c in clusters if len(c) < min_size for i in c))
-    return tuple(groups), ungrouped
+    return tuple(groups), ungrouped, merges
 
 
 def distances_from_square(square):
@@ -72,33 +84,6 @@ def random_square(rng, n, discrete=False):
     square[np.triu_indices(n, k=1)] = tri
     square += square.T
     return square
-
-
-# ---------------------------------------------------------------- linkage
-
-def test_complete_linkage_singletons():
-    d = distances_from_square([[0, 0.4], [0.4, 0]])
-    assert complete_linkage_distance({0}, {1}, d) == 0.4
-
-
-def test_complete_linkage_takes_the_max():
-    square = [
-        [0.0, 0.1, 0.6, 0.7],
-        [0.1, 0.0, 0.8, 0.9],
-        [0.6, 0.8, 0.0, 0.2],
-        [0.7, 0.9, 0.2, 0.0],
-    ]
-    d = distances_from_square(square)
-    assert complete_linkage_distance({0, 1}, {2}, d) == 0.8
-    assert complete_linkage_distance({0, 1}, {2, 3}, d) == 0.9
-
-
-def test_complete_linkage_rejects_overlap_and_empty():
-    d = distances_from_square([[0, 0.4], [0.4, 0]])
-    with pytest.raises(ValueError, match="overlap"):
-        complete_linkage_distance({0}, {0, 1}, d)
-    with pytest.raises(ValueError, match="non-empty"):
-        complete_linkage_distance(set(), {1}, d)
 
 
 # ---------------------------------------------------------------- dendrogram
@@ -148,6 +133,37 @@ def test_determinism_with_heavy_ties():
         square = random_square(rng, 9, discrete=True)
         d = distances_from_square(square)
         assert build_dendrogram(d) == build_dendrogram(d)
+
+
+@st.composite
+def tie_heavy_squares(draw):
+    """Symmetric squares of k/q distances: few levels, so many exact ties."""
+    n = draw(st.integers(2, 25))
+    q = draw(st.integers(1, 4))
+    tri = draw(
+        st.lists(st.integers(0, q), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    )
+    square = np.zeros((n, n))
+    square[np.triu_indices(n, k=1)] = np.array(tri) / q
+    return square + square.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_squares())
+def test_merge_list_matches_naive_reference_under_ties(square):
+    tree = build_dendrogram(distances_from_square(square))
+    _, _, merges = naive_stop_early(square.tolist(), np.inf, 1)
+    assert [(m.left, m.right, m.distance, m.new_id) for m in tree.merges] == merges
+
+
+def test_merge_heights_match_scipy_without_ties():
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        d = distances_from_square(random_square(rng, n))
+        assert len(set(d.values.tolist())) == d.values.size
+        heights = [m.distance for m in build_dendrogram(d).merges]
+        assert heights == linkage(d.values, "complete")[:, 2].tolist()
 
 
 def test_dendrogram_needs_two_items():
@@ -233,7 +249,7 @@ def test_cut_matches_naive_stop_early():
         for alpha in alphas:
             for min_size in (1, 2):
                 cut = cut_at_threshold(tree, alpha, min_size=min_size)
-                groups, ungrouped = naive_stop_early(
+                groups, ungrouped, _ = naive_stop_early(
                     square.tolist(), alpha, min_size
                 )
                 assert cut.groups == groups, (trial, alpha, min_size)

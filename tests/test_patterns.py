@@ -14,7 +14,6 @@ from defclust import (
     candidates_to_jsonl,
     compile_search_patterns,
     default_templates,
-    expand_patterns,
     load_pattern_file,
     scan_text,
 )
@@ -53,9 +52,13 @@ def test_template_rejects_unknown_def_type():
 
 # ---------------------------------------------------------------- expansion
 
+def expand(templates, terms):
+    return [pattern.text for pattern in compile_search_patterns(templates, terms)]
+
+
 def test_expand_cross_product_templates_major():
     templates = [PatternTemplate("la <T> es un"), PatternTemplate("define una <T>")]
-    got = expand_patterns(templates, ["aguja", "barra"])
+    got = expand(templates, ["aguja", "barra"])
     assert got == [
         "la aguja es un",
         "la barra es un",
@@ -66,21 +69,21 @@ def test_expand_cross_product_templates_major():
 
 def test_expand_drops_duplicates():
     templates = [PatternTemplate("la <T> es"), PatternTemplate("la <T> es")]
-    assert expand_patterns(templates, ["x"]) == ["la x es"]
+    assert expand(templates, ["x"]) == ["la x es"]
 
 
 def test_expand_output_contains_its_term():
     templates = default_templates()
     terms = ["aguja", "célula"]
-    for text in expand_patterns(templates, terms):
+    for text in expand(templates, terms):
         assert any(term in text for term in terms)
 
 
 def test_expand_requires_inputs():
     with pytest.raises(ValueError):
-        expand_patterns([], ["x"])
+        expand([], ["x"])
     with pytest.raises(ValueError):
-        expand_patterns([PatternTemplate("la <T> es")], [])
+        expand([PatternTemplate("la <T> es")], [])
 
 
 def test_compile_rejects_blank_terms():
