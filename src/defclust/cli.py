@@ -261,6 +261,16 @@ def _load_clustering(path: str):
         raise DataError(f"{path}: not a clustering file ({exc})") from None
 
 
+def _load_pairable_corpus(args):
+    """Corpus of a cluster or sweep run; distances need at least one pair."""
+    docs = load_corpus(args.corpus, format=args.format)
+    if len(docs) < 2:
+        raise DataError(
+            f"{args.corpus}: need at least two documents to cluster, got {len(docs)}"
+        )
+    return docs
+
+
 def _corpus_to_jsonl(docs) -> str:
     lines = []
     for doc in docs:
@@ -302,7 +312,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    docs = load_corpus(args.corpus, format=args.format)
+    docs = _load_pairable_corpus(args)
     matrix = build_matrix(docs, _tokenizer_from(args))
     tree = build_dendrogram(_distances(args, matrix))
     clustering = cut_at_threshold(tree, args.alpha, min_size=args.min_size)
@@ -311,7 +321,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    docs = load_corpus(args.corpus, format=args.format)
+    docs = _load_pairable_corpus(args)
     gold = _load_gold(args.gold) if args.gold else GoldAnnotation.from_documents(docs)
     matrix = build_matrix(docs, _tokenizer_from(args))
     tree = build_dendrogram(_distances(args, matrix))

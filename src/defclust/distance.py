@@ -9,10 +9,23 @@ the energy magnitude is
 
 i.e. a matrix product, not an elementwise square.  Documents therefore
 interact both directly (shared vocabulary) and through every third
-document that shares vocabulary with both.  The core is computed in
-exact int64 arithmetic; the 1/2 factor and the max-normalization move to
-floating point only at the distance step (halving and a single division
-are exact/correctly rounded, so results are deterministic).
+document that shares vocabulary with both.
+
+Both products run in float64, so numpy hands them to BLAS, and the result
+is cast to an int64 ``gram_sq``.  This is exact integer arithmetic: every
+cell is 0 or 1, so every product term is a non-negative integer, and any
+partial sum, in any blocking, thread split or FMA order, is a sum of a
+subset of an entry's terms and so at most that entry.  While every entry
+is below 2^53 (``EXACT_INT_LIMIT``) every intermediate is an exactly
+representable integer and the result equals the int64 product bit for
+bit.  Rounding is monotone, so a computed maximum below 2^53 also proves
+that no entry reached it; at or above the limit ``DataError`` is raised.
+Reaching it takes n * t_max^2 >= 2^53, with t_max the largest number of
+distinct terms in one document: for instance 10,000 documents of about
+950,000 terms each, far beyond any n x n matrix that fits in memory.  The
+1/2 factor and the max-normalization move to floating point only at the
+distance step (halving and a single division of integers below 2^53 are
+exact/correctly rounded, so results are deterministic).
 
 High shared vocabulary means HIGH energy, so the normalized energy is a
 similarity.  The default ``inverted`` mode returns 1 - normalized energy,
@@ -30,19 +43,37 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import BinaryDocTermMatrix
+from .errors import DataError
+
 DISTANCE_MODES = ("inverted", "raw")
+
+EXACT_INT_LIMIT = 2**53
+"""Energies must stay below this: float64 holds every smaller integer exactly."""
+
+
+def _check_energy_limit(peak, n: int) -> None:
+    if peak >= EXACT_INT_LIMIT:
+        raise DataError(
+            f"second-order energy {int(peak)} for n={n} documents reaches the "
+            f"exact-integer limit 2^53 = {EXACT_INT_LIMIT}"
+        )
 
 
 def _as_binary_array(matrix) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """Accept a BinaryDocTermMatrix or a raw 0/1 array-like."""
-    ids = getattr(matrix, "doc_ids", None)
-    data = getattr(matrix, "data", matrix)
-    arr = np.asarray(data)
+    """0/1 cells of a BinaryDocTermMatrix or a raw array-like, as float64.
+
+    A BinaryDocTermMatrix checked its cells when it was built, so only raw
+    array-likes are checked here.
+    """
+    if isinstance(matrix, BinaryDocTermMatrix):
+        return matrix.data.astype(np.float64), tuple(matrix.doc_ids)
+    arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise ValueError("expected a two-dimensional document-term matrix")
     if arr.size and not np.isin(arr, (0, 1)).all():
         raise ValueError("matrix cells must be exactly 0 or 1")
-    return arr.astype(np.int64), tuple(ids) if ids is not None else None
+    return arr.astype(np.float64), None
 
 
 @dataclass(frozen=True)
@@ -50,7 +81,8 @@ class EnergyMatrix:
     """Pairwise interaction-energy magnitudes |e_ij|.
 
     ``gram_sq`` holds the integer matrix (X X^T)(X X^T), so e_ij =
-    gram_sq[i, j] / 2.  Symmetric and non-negative by construction.
+    gram_sq[i, j] / 2.  Symmetric and non-negative by construction, and
+    every entry is below ``EXACT_INT_LIMIT``.
     """
 
     gram_sq: np.ndarray
@@ -64,6 +96,8 @@ class EnergyMatrix:
             raise ValueError("energy matrix must be symmetric")
         if q.size and int(q.min()) < 0:
             raise ValueError("energy magnitudes must be non-negative")
+        if q.size:
+            _check_energy_limit(int(q.max()), q.shape[0])
         if self.ids is not None and len(self.ids) != q.shape[0]:
             raise ValueError("ids length must match the matrix size")
 
@@ -133,7 +167,10 @@ def energy_matrix(matrix) -> EnergyMatrix:
     if arr.shape[0] == 0:
         raise ValueError("cannot compute energies of an empty collection")
     gram = arr @ arr.T
-    return EnergyMatrix(gram_sq=gram @ gram, ids=ids)
+    gram = gram @ gram
+    # checked before the cast, so no value can wrap
+    _check_energy_limit(gram.max(), arr.shape[0])
+    return EnergyMatrix(gram_sq=gram.astype(np.int64), ids=ids)
 
 
 def energy_distance_vector(

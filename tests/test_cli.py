@@ -114,6 +114,19 @@ def test_cluster_malformed_corpus_is_a_data_error(tmp_path, capsys):
     assert main(["cluster", str(bad), "--alpha", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+def test_one_document_corpus_is_a_data_error(command, tmp_path, capsys):
+    single = tmp_path / "single.jsonl"
+    single.write_text(
+        '{"id":"a","text":"barra de metal","gold_sense":"x"}\n', encoding="utf-8"
+    )
+    argv = [command, str(single)] + (["--alpha", "0.5"] if command == "cluster" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(single) in err
+    assert "got 1" in err
+
+
 def test_cluster_plain_lines_format(tmp_path, capsys):
     plain = tmp_path / "plain.txt"
     plain.write_text("rueda metal acero\nrueda metal hierro\nflor aroma\n", encoding="utf-8")

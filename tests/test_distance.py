@@ -4,12 +4,15 @@ The energy core is integer arithmetic, so most checks here demand exact
 equality, not tolerances.  The independent oracle used below expands the
 full quadruple sum over shared lexical entities and intermediate
 documents; it shares no code path with the library's matrix products.
+At sizes where BLAS blocks and splits the float64 products, the oracle
+is the same products in int64, which numpy computes without BLAS.
 """
 
 import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from defclust import (
     EnergyMatrix,
@@ -19,7 +22,8 @@ from defclust import (
     hamming_distance_vector,
     pair_distance,
 )
-from defclust.distance import distances_to_csv, energy_matrix_to_csv
+from defclust.distance import EXACT_INT_LIMIT, distances_to_csv, energy_matrix_to_csv
+from defclust.errors import DataError
 
 
 def quadruple_sum_energy(rows):
@@ -95,6 +99,43 @@ def test_energy_symmetric_nonnegative():
         assert np.array_equal(q, q.T)
         assert int(q.min()) >= 0
         assert q.dtype == np.int64
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    p=st.integers(1, 300),
+    density=st.sampled_from([0.005, 0.02, 0.1, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=300, p=300, density=1.0, seed=0)
+@example(n=300, p=300, density=0.02, seed=1)
+def test_blas_products_equal_int64_oracle(n, p, density, seed):
+    arr = (np.random.default_rng(seed).random((n, p)) < density).astype(np.uint8)
+    ints = arr.astype(np.int64)
+    gram = ints @ ints.T
+    q = energy_matrix(arr).gram_sq
+    assert q.dtype == np.int64
+    assert np.array_equal(q, gram @ gram)
+
+    ones = np.diag(gram)
+    differing = ones[:, None] + ones[None, :] - 2 * gram
+    expected = differing[np.triu_indices(n, k=1)] / p
+    assert np.array_equal(hamming_distance_vector(arr).values, expected)
+
+
+def test_energy_limit_is_two_to_the_53():
+    EnergyMatrix(gram_sq=np.full((2, 2), EXACT_INT_LIMIT - 1))
+    with pytest.raises(DataError, match=f"2\\^53 = {EXACT_INT_LIMIT}"):
+        EnergyMatrix(gram_sq=np.full((2, 2), EXACT_INT_LIMIT))
+
+
+def test_energy_matrix_raises_at_the_limit(monkeypatch):
+    # reaching 2^53 needs n * t_max^2 >= 2^53, far past memory, so the
+    # limit is lowered to reach the check on the float product
+    monkeypatch.setattr("defclust.distance.EXACT_INT_LIMIT", 8)
+    with pytest.raises(DataError, match="n=2 documents"):
+        energy_matrix(np.array([[1, 1, 0], [1, 1, 0]]))
 
 
 def test_energy_rejects_empty_and_non_binary():
