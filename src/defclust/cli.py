@@ -37,7 +37,7 @@ from .distance import (
     energy_matrix,
     hamming_distance_vector,
 )
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .evaluation import (
     ZONE_NOTE,
     GoldAnnotation,
@@ -239,7 +239,7 @@ def _load_gold(path: str) -> GoldAnnotation:
     else, unparsable lines included, goes to the gold-file reader, which
     reports errors with their line numbers.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     first = next((line for line in lines if line.strip()), "")
     try:
         record = json.loads(first)
@@ -252,7 +252,7 @@ def _load_gold(path: str) -> GoldAnnotation:
 
 def _load_clustering(path: str):
     try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
+        record = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc.msg})") from None
     try:
@@ -290,7 +290,7 @@ def _cmd_extract(args) -> int:
     if args.terms:
         terms.extend(t.strip() for t in args.terms.split(",") if t.strip())
     if args.terms_file:
-        for line in Path(args.terms_file).read_text(encoding="utf-8").splitlines():
+        for line in read_utf8(args.terms_file).splitlines():
             if line.strip():
                 terms.append(line.strip())
     if not terms:
@@ -299,7 +299,7 @@ def _cmd_extract(args) -> int:
     patterns = compile_search_patterns(templates, terms)
     candidates = []
     for name in args.inputs:
-        text = Path(name).read_text(encoding="utf-8")
+        text = read_utf8(name)
         if not text:
             raise DataError(f"{name}: empty file")
         candidates.extend(scan_text(text, source_id=name, patterns=patterns))

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 DEF_TYPES = ("analytic", "extensional", "functional")
 
@@ -137,7 +137,7 @@ def tokenize(
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Stopword file: UTF-8, one token per line."""
     out = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(path).splitlines():
         word = line.strip().lower()
         if word:
             out.add(word)
@@ -147,7 +147,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 def load_phrases(path: str | Path) -> tuple[tuple[str, ...], ...]:
     """Phrase file: UTF-8, one multi-word entity per line."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(path).splitlines():
         words = tuple(_WORD_RE.findall(line.lower()))
         if words:
             out.append(words)
@@ -227,7 +227,7 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[Document]:
     """
     if format not in CORPUS_FORMATS:
         raise ValueError(f"format must be one of {CORPUS_FORMATS}, got {format!r}")
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if format == "jsonl":
         return parse_jsonl_corpus(lines, origin=str(path))
     docs = []

@@ -32,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .hac import Clustering, Dendrogram, cut_at_threshold
 
 ZONES = ("zone1", "zone2", "zone3", "absolute")
@@ -66,7 +66,7 @@ class GoldAnnotation:
         """Gold file: JSONL of {"id": string, "sense": string}."""
         sense_of: dict[str, str] = {}
         for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1
+            read_utf8(path).splitlines(), 1
         ):
             if not line.strip():
                 continue

@@ -11,6 +11,12 @@ flexible whitespace, no tokenization, no syntax.  A match is only ever a
 *candidate*; "el miedo a la aguja es el más frecuente" contains
 "la aguja es el" without defining anything, which is why every candidate
 carries ``verified=False`` until some later judgment.
+
+Scanning costs one pass over the text per leading word of the search
+patterns, not one per template×term: patterns that start with the same
+word are found together by one alternation, then each member is matched
+at every position the alternation stops.  The hits are exactly those of
+one search loop per pattern (see :func:`scan_text`).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import DEF_TYPES, Document
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 log = logging.getLogger(__name__)
 
@@ -68,10 +74,13 @@ class PatternTemplate:
         return self.surface.replace(PLACEHOLDER, term)
 
 
+_MATCH_FLAGS = re.IGNORECASE | re.UNICODE
+
+
 def _flexible_regex(text: str) -> re.Pattern:
     # Literal substring match, except any whitespace run matches any other.
     parts = [re.escape(chunk) for chunk in text.split()]
-    return re.compile(r"\s+".join(parts), re.IGNORECASE | re.UNICODE)
+    return re.compile(r"\s+".join(parts), _MATCH_FLAGS)
 
 
 @dataclass(frozen=True)
@@ -150,28 +159,47 @@ def scan_text(
     The tail runs from the match to the next ``.``, ``;`` or newline and
     is stripped; it may come out empty when the terminator is adjacent.
     Results are sorted by span.
+
+    Patterns are grouped by the first word of their literal text, and
+    each group is scanned in one pass with the alternation of its
+    members.  This is exact: the alternation tries every branch at a
+    position before moving on, so it stops at every start where some
+    member matches, and there each member's own ``regex.match`` gives
+    the same match its own search would have found from that start.
     """
     if not text:
         raise ValueError("text must be non-empty")
-    hits: list[CandidateContext] = []
+    groups: dict[str, list[SearchPattern]] = {}
     for pattern in patterns:
+        groups.setdefault(pattern.text.split()[0], []).append(pattern)
+    hits: list[CandidateContext] = []
+    for members in groups.values():
+        # sre factors the shared literal prefix out of the branches, so
+        # one pass costs about as much as one pattern's
+        finder = re.compile(
+            "|".join(f"(?:{m.regex.pattern})" for m in members), _MATCH_FLAGS
+        )
         pos = 0
         while True:
-            match = pattern.regex.search(text, pos)
-            if match is None:
+            found = finder.search(text, pos)
+            if found is None:
                 break
-            hits.append(
-                CandidateContext(
-                    source_id=source_id,
-                    span=(match.start(), match.end()),
-                    term=pattern.term,
-                    matched_pattern=pattern.template,
-                    tail=_tail_after(text, match.end()),
-                )
-            )
+            start = found.start()
+            for pattern in members:
+                match = pattern.regex.match(text, start)
+                if match is not None:
+                    hits.append(
+                        CandidateContext(
+                            source_id=source_id,
+                            span=(start, match.end()),
+                            term=pattern.term,
+                            matched_pattern=pattern.template,
+                            tail=_tail_after(text, match.end()),
+                        )
+                    )
             # step one character, not past the match, so overlapping
-            # occurrences of the same pattern are all found
-            pos = match.start() + 1
+            # occurrences are all found
+            pos = start + 1
     hits.sort(key=lambda c: (c.span, c.matched_pattern.surface, c.term))
     return hits
 
@@ -217,7 +245,7 @@ def load_pattern_file(path: str | Path) -> list[PatternTemplate]:
     """
     templates: list[PatternTemplate] = []
     for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), 1
+        read_utf8(path).splitlines(), 1
     ):
         if not line.strip() or line.lstrip().startswith("#"):
             continue

@@ -365,6 +365,48 @@ def test_extract_multiple_inputs(tmp_path, capsys):
     assert {r["source_id"] for r in records} == {str(one), str(two)}
 
 
+# ---------------------------------------------------------------- encodings
+
+# Each case: the Latin-1 file's role, its text, and the argv around it.
+LATIN1_CASES = {
+    "extract-text": ("la aguja es un café\n", lambda bad, f: ["extract", bad, "--terms", "aguja"]),
+    "terms-file": ("aguja\ncañón\n", lambda bad, f: ["extract", f["text"], "--terms-file", bad]),
+    "pattern-file": (
+        "la <T> es un\tanalytic\nla <T> está\tanalytic\n",
+        lambda bad, f: ["extract", f["text"], "--terms", "aguja", "--patterns", bad],
+    ),
+    "cluster-corpus": (
+        '{"id": "a", "text": "rueda"}\n{"id": "b", "text": "pétalo"}\n',
+        lambda bad, f: ["cluster", bad, "--alpha", "0.5"],
+    ),
+    "sweep-gold": (
+        '{"id": "a1", "sense": "s:métal"}\n',
+        lambda bad, f: ["sweep", f["corpus"], bad],
+    ),
+    "eval-clustering": (
+        '{"alpha": 0.8, "groups": [["a1", "a2"]], "ungrouped": ["ñu"]}',
+        lambda bad, f: ["eval", bad, f["gold"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("role", LATIN1_CASES)
+def test_non_utf8_input_is_a_located_data_error(
+    role, corpus_file, gold_file, tmp_path, capsys
+):
+    content, argv = LATIN1_CASES[role]
+    text = tmp_path / "text.txt"
+    text.write_text("la aguja es un objeto.\n", encoding="utf-8")
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(content.encode("latin-1"))
+    offset = next(i for i, ch in enumerate(content) if ord(ch) > 127)
+    files = {"text": str(text), "corpus": str(corpus_file), "gold": str(gold_file)}
+    assert main(argv(str(bad), files)) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert f"at offset {offset}" in err
+
+
 # ---------------------------------------------------------------- plumbing
 
 def test_help_exits_zero(capsys):

@@ -21,6 +21,7 @@ from defclust import (
     tokenize,
     vectorize,
 )
+from defclust.errors import read_utf8
 
 # word soup for randomized corpora; accents on purpose
 WORDS = (
@@ -177,6 +178,13 @@ def test_load_phrases_normalizes_lines(tmp_path):
         ("república", "francesa"),
         ("barra", "de", "tareas"),
     )
+
+
+def test_read_utf8_translates_newlines_like_text_mode(tmp_path):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes("uno\r\ndos\rtres\r\r\ncuatro\n\rñu".encode("utf-8"))
+    assert read_utf8(path) == path.read_text(encoding="utf-8")
+    assert read_utf8(path) == "uno\ndos\ntres\n\ncuatro\n\nñu"
 
 
 # ---------------------------------------------------------------- dictionary

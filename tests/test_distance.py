@@ -311,13 +311,15 @@ def test_csv_dumps_round_trip(tmp_path):
 
     epath = tmp_path / "energy.csv"
     energy_matrix_to_csv(EnergyMatrix(e.gram_sq, ids=("a", "b", "c")), epath)
-    rows = list(csv.reader(epath.open(encoding="utf-8")))
+    with epath.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["", "a", "b", "c"]
     assert float(rows[1][2]) == e.values[0, 1]
 
     dpath = tmp_path / "dist.csv"
     distances_to_csv(PairwiseDistances(d.n, d.values, ids=("a", "b", "c")), dpath)
-    rows = list(csv.reader(dpath.open(encoding="utf-8")))
+    with dpath.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["id_i", "id_j", "distance"]
     assert [r[:2] for r in rows[1:]] == [["a", "b"], ["a", "c"], ["b", "c"]]
     assert [float(r[2]) for r in rows[1:]] == d.values.tolist()

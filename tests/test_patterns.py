@@ -5,6 +5,7 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defclust import (
     CandidateContext,
@@ -17,6 +18,7 @@ from defclust import (
     load_pattern_file,
     scan_text,
 )
+from defclust.patterns import _tail_after
 
 NEGATIVE_SENTENCE = "el miedo a la aguja es el más frecuente"
 
@@ -215,6 +217,108 @@ def test_planted_instances_all_found():
         text = "".join(pieces)
         cands = scan_text(text, "synthetic", patterns)
         assert [c.span for c in cands] == sorted(expected)
+
+
+# ---------------------------------------------------------------- scan oracle
+
+def reference_scan(text, source_id, patterns):
+    """The plain scan: one search loop over the whole text per pattern."""
+    hits = []
+    for pattern in patterns:
+        pos = 0
+        while True:
+            match = pattern.regex.search(text, pos)
+            if match is None:
+                break
+            hits.append(
+                CandidateContext(
+                    source_id=source_id,
+                    span=(match.start(), match.end()),
+                    term=pattern.term,
+                    matched_pattern=pattern.template,
+                    tail=_tail_after(text, match.end()),
+                )
+            )
+            pos = match.start() + 1
+    hits.sort(key=lambda c: (c.span, c.matched_pattern.surface, c.term))
+    return hits
+
+
+# "<T> es un" with "la x" repeats the text of "la <T> es un" with "x",
+# which compile_search_patterns drops; "<T> ..." templates share no
+# leading word; "define\tuna <T>" has a tab inside the template.
+ORACLE_TEMPLATES = [
+    PatternTemplate("la <T> es un"),
+    PatternTemplate("la <T> es"),
+    PatternTemplate("las <T>s son"),
+    PatternTemplate("<T> es un"),
+    PatternTemplate("<T>, que es"),
+    PatternTemplate("define\tuna <T>"),
+    PatternTemplate("ha definido la <T>"),
+]
+# nested ("x" inside "x es un y"), prefix-sharing ("barra"/"barras"),
+# non-ASCII case pairs, and whitespace other than a space inside terms
+ORACLE_TERMS = [
+    "x", "x es un y", "la x", "barra", "barras", "Ñandú", "ñandú", "É",
+    "a\tb", "ca\nsa",
+]
+ORACLE_FILLER = [
+    "", " ", ". ", "; ", "\n", ", ", "la", "las", "es un", "s son", "y",
+    "Ñ", "ñandú", "É", "é", " que es", "define", "ha", "z", "barra",
+]
+WHITESPACE = [" ", "  ", "\t", "\n", " \n\t"]
+CASES = [str, str.lower, str.upper, str.title, str.swapcase]
+
+
+@st.composite
+def respelled(draw, text):
+    """``text``, perhaps cut short, re-cased and re-spaced."""
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(1, len(text)))]
+    text = draw(st.sampled_from(CASES))(text)
+    return "".join(
+        draw(st.sampled_from(WHITESPACE)) if ch.isspace() else ch for ch in text
+    )
+
+
+@st.composite
+def scan_cases(draw):
+    """Templates, terms, and a text dense in their (respelled) instances."""
+    templates = draw(
+        st.lists(st.sampled_from(ORACLE_TEMPLATES), min_size=1, max_size=7, unique=True)
+    )
+    terms = draw(
+        st.lists(st.sampled_from(ORACLE_TERMS), min_size=1, max_size=10, unique=True)
+    )
+    instances = [template.instantiate(term) for template in templates for term in terms]
+    chunk = st.one_of(
+        st.sampled_from(instances).flatmap(respelled),
+        st.sampled_from(ORACLE_FILLER),
+    )
+    text = "".join(draw(st.lists(chunk, max_size=30))) or "."
+    return templates, terms, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_scan_equals_per_pattern_oracle(case):
+    templates, terms, text = case
+    patterns = compile_search_patterns(templates, terms)
+    assert scan_text(text, "d", patterns) == reference_scan(text, "d", patterns)
+
+
+def test_scan_reports_every_pattern_matching_at_one_start():
+    templates = [PatternTemplate("la <T> es un"), PatternTemplate("<T> es un")]
+    patterns = compile_search_patterns(templates, ["x", "x es un y"])
+    text = "la X es un y es un z."
+    got = scan_text(text, "d", patterns)
+    assert got == reference_scan(text, "d", patterns)
+    assert [(c.span, c.term) for c in got] == [
+        ((0, 10), "x"),
+        ((0, 18), "x es un y"),
+        ((3, 10), "x"),
+        ((3, 18), "x es un y"),
+    ]
 
 
 # ---------------------------------------------------------------- candidates
