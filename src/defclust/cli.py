@@ -236,8 +236,8 @@ def _load_gold(path: str) -> GoldAnnotation:
     """Gold file: JSONL of {"id", "sense"}, or a corpus with gold_sense.
 
     The first record decides: a ``gold_sense`` key marks a corpus.  Anything
-    else, unparsable lines included, goes to the gold-file reader, which
-    reports errors with their line numbers.
+    else, unparsable lines included, goes to the gold-line parser, which
+    reports errors with their line numbers.  The file is read once.
     """
     lines = read_utf8(path).splitlines()
     first = next((line for line in lines if line.strip()), "")
@@ -247,7 +247,7 @@ def _load_gold(path: str) -> GoldAnnotation:
         record = None
     if isinstance(record, dict) and "gold_sense" in record:
         return GoldAnnotation.from_documents(parse_jsonl_corpus(lines, origin=str(path)))
-    return GoldAnnotation.load(path)
+    return GoldAnnotation.from_lines(lines, origin=str(path))
 
 
 def _load_clustering(path: str):

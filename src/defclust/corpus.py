@@ -29,6 +29,10 @@ CORPUS_FORMATS = ("jsonl", "plain_lines")
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
+def _phrase_words(phrase: str) -> tuple[str, ...]:
+    return tuple(_WORD_RE.findall(phrase.lower()))
+
+
 @dataclass(frozen=True)
 class Document:
     """One short text with optional metadata.
@@ -127,9 +131,7 @@ def tokenize(
     """
     tok = Tokenizer(
         stopwords=frozenset(w.lower() for w in stopwords) if stopwords else frozenset(),
-        phrases=tuple(tuple(_WORD_RE.findall(p.lower())) for p in phrases)
-        if phrases
-        else (),
+        phrases=tuple(_phrase_words(p) for p in phrases) if phrases else (),
     )
     return tok(text)
 
@@ -148,7 +150,7 @@ def load_phrases(path: str | Path) -> tuple[tuple[str, ...], ...]:
     """Phrase file: UTF-8, one multi-word entity per line."""
     out = []
     for line in read_utf8(path).splitlines():
-        words = tuple(_WORD_RE.findall(line.lower()))
+        words = _phrase_words(line)
         if words:
             out.append(words)
     return tuple(out)

@@ -113,39 +113,40 @@ class EnergyMatrix:
 
 @dataclass(frozen=True)
 class PairwiseDistances:
-    """One distance in [0, 1] per unordered item pair.
+    """Symmetric n x n distances in [0, 1] with a zero diagonal, as float64.
 
-    Values are flattened row-major over the upper triangle: (0,1), (0,2),
-    ..., (0,n-1), (1,2), ..., (n-2,n-1).
+    ``square`` is the only stored pair layout.  ``values`` is the condensed
+    (SciPy) view: the upper triangle flattened row-major, (0,1), (0,2), ...,
+    (0,n-1), (1,2), ..., (n-2,n-1).
     """
 
-    n: int
-    values: np.ndarray
+    square: np.ndarray
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        expected = self.n * (self.n - 1) // 2
-        if self.values.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} pair values for n={self.n}, "
-                f"got shape {self.values.shape}"
-            )
-        # min/max propagate NaN and NaN fails every comparison, so the
-        # positive test rejects NaN as well.
-        if self.values.size and not (
-            float(self.values.min()) >= 0.0 and float(self.values.max()) <= 1.0
-        ):
+        sq = np.asarray(self.square, dtype=np.float64)
+        object.__setattr__(self, "square", sq)
+        if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
+            raise ValueError(f"pair distances must form a square, got shape {sq.shape}")
+        # min/max propagate NaN, which fails both comparisons
+        if sq.size and not (float(sq.min()) >= 0.0 and float(sq.max()) <= 1.0):
             raise ValueError("pair distances must lie in [0, 1]")
+        if sq.diagonal().any():
+            raise ValueError("the distance of an item to itself must be 0")
+        # the row-major tie rule of build_dendrogram relies on symmetry
+        if not np.array_equal(sq, sq.T):
+            raise ValueError("pair distances must be symmetric")
         if self.ids is not None and len(self.ids) != self.n:
             raise ValueError("ids length must match n")
 
-    def as_square(self) -> np.ndarray:
-        """Symmetric n x n distance matrix with a zero diagonal."""
-        square = np.zeros((self.n, self.n), dtype=np.float64)
-        iu = np.triu_indices(self.n, k=1)
-        square[iu] = self.values
-        square += square.T
-        return square
+    @property
+    def n(self) -> int:
+        return self.square.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Condensed copy: one value per unordered pair, in pair order."""
+        return self.square[np.triu_indices(self.n, k=1)]
 
 
 def pair_distance(dist: PairwiseDistances, i: int, j: int) -> float:
@@ -155,10 +156,7 @@ def pair_distance(dist: PairwiseDistances, i: int, j: int) -> float:
         raise IndexError(f"item index out of range for n={n}: ({i}, {j})")
     if i == j:
         raise ValueError("no distance is stored for an item paired with itself")
-    if i > j:
-        i, j = j, i
-    k = n * i - i * (i + 1) // 2 + (j - i - 1)
-    return float(dist.values[k])
+    return float(dist.square[i, j])
 
 
 def energy_matrix(matrix) -> EnergyMatrix:
@@ -173,10 +171,8 @@ def energy_matrix(matrix) -> EnergyMatrix:
     return EnergyMatrix(gram_sq=gram.astype(np.int64), ids=ids)
 
 
-def energy_distance_vector(
-    energy: EnergyMatrix, mode: str = "inverted"
-) -> PairwiseDistances:
-    """Flattened, max-normalized off-diagonal energies as pair distances.
+def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> PairwiseDistances:
+    """Max-normalized off-diagonal energies as an n x n distance square.
 
     The normalization maximum is taken over off-diagonal entries only.
     ``inverted`` (default) returns 1 - normalized energy so that similar
@@ -186,18 +182,18 @@ def energy_distance_vector(
     """
     if mode not in DISTANCE_MODES:
         raise ValueError(f"mode must be one of {DISTANCE_MODES}, got {mode!r}")
-    n = energy.n
-    if n < 2:
+    if energy.n < 2:
         raise ValueError("need at least two documents to form pairs")
-    iu = np.triu_indices(n, k=1)
-    flat = energy.gram_sq[iu]
-    peak = int(flat.max())
-    if peak == 0:
-        normalized = np.zeros(flat.shape, dtype=np.float64)
-    else:
-        normalized = flat / peak
-    values = 1.0 - normalized if mode == "inverted" else normalized
-    return PairwiseDistances(n=n, values=values, ids=energy.ids)
+    d = energy.gram_sq.astype(np.float64)
+    np.fill_diagonal(d, 0.0)
+    # entries are non-negative, so this is the off-diagonal maximum
+    peak = d.max()
+    if peak:
+        d /= peak
+    if mode == "inverted":
+        np.subtract(1.0, d, out=d)
+        np.fill_diagonal(d, 0.0)
+    return PairwiseDistances(d, ids=energy.ids)
 
 
 def hamming_distance_vector(matrix) -> PairwiseDistances:
@@ -210,9 +206,9 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
         raise ValueError("need at least two documents to form pairs")
     gram = arr @ arr.T
     ones = np.diag(gram)
+    # integer counts, so the square is exactly symmetric with a zero diagonal
     differing = ones[:, None] + ones[None, :] - 2 * gram
-    iu = np.triu_indices(n, k=1)
-    return PairwiseDistances(n=n, values=differing[iu] / p, ids=ids)
+    return PairwiseDistances(differing / p, ids=ids)
 
 
 def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:
@@ -236,8 +232,6 @@ def distances_to_csv(dist: PairwiseDistances, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id_i", "id_j", "distance"])
-        k = 0
-        for i in range(dist.n):
+        for i, row in enumerate(dist.square):
             for j in range(i + 1, dist.n):
-                writer.writerow([labels[i], labels[j], repr(float(dist.values[k]))])
-                k += 1
+                writer.writerow([labels[i], labels[j], repr(float(row[j]))])

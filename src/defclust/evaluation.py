@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, read_utf8
 from .hac import Clustering, Dendrogram, cut_at_threshold
@@ -64,20 +64,23 @@ class GoldAnnotation:
     @classmethod
     def load(cls, path: str | Path) -> "GoldAnnotation":
         """Gold file: JSONL of {"id": string, "sense": string}."""
+        return cls.from_lines(read_utf8(path).splitlines(), origin=str(path))
+
+    @classmethod
+    def from_lines(cls, lines: Iterable[str], origin: str = "<jsonl>") -> "GoldAnnotation":
+        """Parse gold JSONL lines; errors name ``origin:lineno``."""
         sense_of: dict[str, str] = {}
-        for lineno, line in enumerate(
-            read_utf8(path).splitlines(), 1
-        ):
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                raise DataError(f"{origin}:{lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(record, dict) or "id" not in record or "sense" not in record:
-                raise DataError(f"{path}:{lineno}: expected an object with id and sense")
+                raise DataError(f"{origin}:{lineno}: expected an object with id and sense")
             if record["id"] in sense_of:
-                raise DataError(f"{path}:{lineno}: duplicate id {record['id']!r}")
+                raise DataError(f"{origin}:{lineno}: duplicate id {record['id']!r}")
             sense_of[record["id"]] = record["sense"]
         return cls(sense_of=sense_of)
 

@@ -105,7 +105,7 @@ class Clustering:
 def build_dendrogram(dist: PairwiseDistances) -> Dendrogram:
     """Agglomerate all items under complete linkage.
 
-    Runs the standard loop on a square distance matrix with
+    Runs the standard loop on a copy of ``dist.square`` with
     maximum-update (Lance-Williams for complete linkage): after merging
     clusters a and b, the distance of the union to any other cluster is
     max(d(a, .), d(b, .)).
@@ -113,7 +113,7 @@ def build_dendrogram(dist: PairwiseDistances) -> Dendrogram:
     n = dist.n
     if n < 2:
         raise ValueError("need at least two items to cluster")
-    d = dist.as_square()
+    d = dist.square.copy()
     np.fill_diagonal(d, np.inf)
     cluster_id = np.arange(n)
     merges = []

@@ -151,7 +151,7 @@ def test_criterion_2_cut_matches_naive_stop_early_everywhere():
             for j in range(i + 1, n):
                 square[i][j] = square[j][i] = tri[k]
                 k += 1
-        dist = PairwiseDistances(n=n, values=np.array(tri))
+        dist = PairwiseDistances(square)
         tree = build_dendrogram(dist)
 
         distances, snapshots = oracle_agglomerate(square)
@@ -267,7 +267,7 @@ def test_criterion_6_hamming_baseline_and_metric_axioms():
             [sum(rows[i][a] != rows[j][a] for a in range(p)) for j in range(n)]
             for i in range(n)
         ]
-        values = hamming_distance_vector(np.array(rows)).as_square()
+        values = hamming_distance_vector(np.array(rows)).square
         for i in range(n):
             assert diff[i][i] == 0
             for j in range(n):

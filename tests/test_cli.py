@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +272,24 @@ def test_eval_rejects_non_clustering_json(tmp_path, gold_file, capsys):
     assert main(["eval", str(bad), str(gold_file)]) == 2
     bad.write_text("not json", encoding="utf-8")
     assert main(["eval", str(bad), str(gold_file)]) == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "eval"])
+def test_gold_file_is_read_once(
+    command, corpus_file, clustering_file, gold_file, monkeypatch, capsys
+):
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(path):
+        reads.append(path)
+        return read_bytes(path)
+
+    # every user file is read through errors.read_utf8, i.e. Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    first = corpus_file if command == "sweep" else clustering_file
+    assert main([command, str(first), str(gold_file)]) == 0
+    assert reads.count(gold_file) == 1
 
 
 # ---------------------------------------------------------------- report

@@ -5,7 +5,9 @@ equality, not tolerances.  The independent oracle used below expands the
 full quadruple sum over shared lexical entities and intermediate
 documents; it shares no code path with the library's matrix products.
 At sizes where BLAS blocks and splits the float64 products, the oracle
-is the same products in int64, which numpy computes without BLAS.
+is the same products in int64, which numpy computes without BLAS.  The
+pair distances are checked against the condensed upper-triangle path they
+used to take before the n x n square became their only layout.
 """
 
 import csv
@@ -13,10 +15,12 @@ import csv
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import squareform
 
 from defclust import (
     EnergyMatrix,
     PairwiseDistances,
+    build_dendrogram,
     energy_distance_vector,
     energy_matrix,
     hamming_distance_vector,
@@ -48,6 +52,32 @@ def random_binary(rng, n, p):
         if not arr[j].any():
             arr[j, rng.integers(0, p)] = 1
     return arr
+
+
+def condensed_reference(arr, distance):
+    """Pair distances along the condensed path, as (values, square).
+
+    Gathers the upper triangle with ``triu_indices``, normalizes it with one
+    ``flat / peak`` and one ``1.0 - x``, and scatters it back into a
+    symmetric square the way ``PairwiseDistances.as_square`` once did.  The
+    products run in int64, which numpy computes without BLAS.
+    """
+    ints = np.asarray(arr, dtype=np.int64)
+    n, p = ints.shape
+    iu = np.triu_indices(n, k=1)
+    gram = ints @ ints.T
+    if distance == "hamming":
+        ones = np.diag(gram)
+        values = (ones[:, None] + ones[None, :] - 2 * gram)[iu] / p
+    else:
+        flat = (gram @ gram)[iu]
+        peak = int(flat.max())
+        normalized = np.zeros(flat.shape, dtype=np.float64) if peak == 0 else flat / peak
+        values = 1.0 - normalized if distance == "inverted" else normalized
+    square = np.zeros((n, n), dtype=np.float64)
+    square[iu] = values
+    square += square.T
+    return values, square
 
 
 # ---------------------------------------------------------------- energy
@@ -206,10 +236,56 @@ def test_distances_in_unit_interval_with_zero_at_argmax():
 def test_row_permutation_equivariance():
     rng = np.random.default_rng(17)
     arr = random_binary(rng, 9, 11)
-    base = energy_distance_vector(energy_matrix(arr)).as_square()
+    base = energy_distance_vector(energy_matrix(arr)).square
     perm = rng.permutation(9)
-    permuted = energy_distance_vector(energy_matrix(arr[perm])).as_square()
+    permuted = energy_distance_vector(energy_matrix(arr[perm])).square
     assert np.array_equal(permuted, base[np.ix_(perm, perm)])
+
+
+@st.composite
+def binary_matrices(draw):
+    """0/1 matrices, n from 2 to 40, many with duplicate rows or disjoint vocabularies."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["random", "duplicate rows", "disjoint"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "disjoint":
+        # each column belongs to at most one document, so no pair shares a
+        # term, every off-diagonal energy is 0 and so is the peak
+        p = draw(st.integers(1, 2 * n))
+        owner = rng.integers(-1, n, size=p)
+        arr = np.zeros((n, p), dtype=np.int64)
+        used = owner >= 0
+        arr[owner[used], np.flatnonzero(used)] = 1
+        return arr
+    p = draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.05, 0.3, 0.7, 1.0]))
+    arr = (rng.random((n, p)) < density).astype(np.int64)
+    if kind == "duplicate rows":
+        arr = arr[rng.integers(0, max(1, n // 3), size=n)]
+    return arr
+
+
+def merge_tuples(dist):
+    return [(m.left, m.right, m.distance, m.new_id) for m in build_dendrogram(dist).merges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(binary_matrices())
+@example(np.eye(3, dtype=np.int64))
+@example(np.ones((4, 2), dtype=np.int64))
+def test_square_equals_condensed_reference(arr):
+    energy = energy_matrix(arr)
+    for distance in ("inverted", "raw", "hamming"):
+        if distance == "hamming":
+            dist = hamming_distance_vector(arr)
+        else:
+            dist = energy_distance_vector(energy, mode=distance)
+        values, square = condensed_reference(arr, distance)
+        assert dist.values.dtype == np.float64
+        assert np.array_equal(dist.values, values)
+        assert dist.square.dtype == np.float64
+        assert np.array_equal(dist.square, square)
+        assert merge_tuples(dist) == merge_tuples(PairwiseDistances(square))
 
 
 def test_distance_mode_and_size_validation():
@@ -244,7 +320,7 @@ def test_hamming_zero_column_padding_halves_values():
 def test_hamming_metric_axioms_small():
     rng = np.random.default_rng(29)
     arr = random_binary(rng, 6, 8)
-    d = hamming_distance_vector(arr).as_square()
+    d = hamming_distance_vector(arr).square
     n = arr.shape[0]
     for i in range(n):
         assert d[i, i] == 0.0
@@ -266,7 +342,7 @@ def test_hamming_needs_pairs_and_columns():
 # ---------------------------------------------------------------- plumbing
 
 def test_pair_distance_layout():
-    d = PairwiseDistances(n=3, values=np.array([0.1, 0.2, 0.3]))
+    d = PairwiseDistances(squareform([0.1, 0.2, 0.3]))
     assert pair_distance(d, 0, 1) == 0.1
     assert pair_distance(d, 0, 2) == 0.2
     assert pair_distance(d, 1, 2) == 0.3
@@ -277,8 +353,9 @@ def test_pair_distance_agrees_with_square_form():
     rng = np.random.default_rng(31)
     n = 9
     values = rng.uniform(0, 1, n * (n - 1) // 2)
-    d = PairwiseDistances(n=n, values=values)
-    square = d.as_square()
+    d = PairwiseDistances(squareform(values))
+    assert np.array_equal(d.values, values)
+    square = d.square
     assert np.array_equal(square, square.T)
     assert (np.diag(square) == 0).all()
     for i in range(n):
@@ -288,7 +365,7 @@ def test_pair_distance_agrees_with_square_form():
 
 
 def test_pair_distance_rejects_bad_indices():
-    d = PairwiseDistances(n=3, values=np.array([0.1, 0.2, 0.3]))
+    d = PairwiseDistances(squareform([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
         pair_distance(d, 1, 1)
     with pytest.raises(IndexError):
@@ -296,12 +373,29 @@ def test_pair_distance_rejects_bad_indices():
 
 
 def test_pairwise_distances_validation():
-    with pytest.raises(ValueError, match="pair values"):
-        PairwiseDistances(n=3, values=np.array([0.1, 0.2]))
-    with pytest.raises(ValueError, match="0, 1"):
-        PairwiseDistances(n=2, values=np.array([1.5]))
-    with pytest.raises(ValueError, match="0, 1"):
-        PairwiseDistances(n=3, values=np.array([0.2, np.nan, 0.5]))
+    cases = [
+        (np.zeros((2, 3)), None, "square"),
+        (np.zeros(3), None, "square"),
+        ([[0.0, 0.2], [0.3, 0.0]], None, "symmetric"),
+        ([[0.1, 0.2], [0.2, 0.0]], None, "itself"),
+        ([[0.0, np.nan], [np.nan, 0.0]], None, "0, 1"),
+        ([[np.nan, 0.2], [0.2, 0.0]], None, "0, 1"),
+        ([[0.0, 1.5], [1.5, 0.0]], None, "0, 1"),
+        ([[0.0, -0.5], [-0.5, 0.0]], None, "0, 1"),
+        (np.zeros((2, 2)), ("a",), "ids"),
+    ]
+    for square, ids, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PairwiseDistances(square, ids=ids)
+
+
+def test_integer_and_list_squares_are_stored_as_float64():
+    rows = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    for square in (rows, np.array(rows)):
+        d = PairwiseDistances(square)
+        assert d.square.dtype == np.float64
+        assert d.values.tolist() == [1.0, 1.0, 0.0]
+        assert merge_tuples(d) == [(1, 2, 0.0, 3), (0, 3, 1.0, 4)]
 
 
 def test_csv_dumps_round_trip(tmp_path):
@@ -317,7 +411,7 @@ def test_csv_dumps_round_trip(tmp_path):
     assert float(rows[1][2]) == e.values[0, 1]
 
     dpath = tmp_path / "dist.csv"
-    distances_to_csv(PairwiseDistances(d.n, d.values, ids=("a", "b", "c")), dpath)
+    distances_to_csv(PairwiseDistances(d.square, ids=("a", "b", "c")), dpath)
     with dpath.open(encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["id_i", "id_j", "distance"]

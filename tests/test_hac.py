@@ -68,12 +68,6 @@ def naive_stop_early(square, alpha, min_size):
     return tuple(groups), ungrouped, merges
 
 
-def distances_from_square(square):
-    arr = np.asarray(square, dtype=np.float64)
-    iu = np.triu_indices(arr.shape[0], k=1)
-    return PairwiseDistances(n=arr.shape[0], values=arr[iu])
-
-
 def random_square(rng, n, discrete=False):
     if discrete:
         # multiples of 0.1 force plenty of exact ties
@@ -95,7 +89,7 @@ def test_two_pairs_merge_before_crossing():
         [0.6, 0.8, 0.0, 0.2],
         [0.7, 0.9, 0.2, 0.0],
     ]
-    tree = build_dendrogram(distances_from_square(square))
+    tree = build_dendrogram(PairwiseDistances(square))
     assert [(m.left, m.right, m.distance) for m in tree.merges] == [
         (0, 1, 0.1),
         (2, 3, 0.2),
@@ -105,14 +99,14 @@ def test_two_pairs_merge_before_crossing():
 
 
 def test_n2_is_a_single_forced_merge():
-    tree = build_dendrogram(distances_from_square([[0, 0.3], [0.3, 0]]))
+    tree = build_dendrogram(PairwiseDistances([[0, 0.3], [0.3, 0]]))
     assert tree.merges == (Merge(left=0, right=1, distance=0.3, new_id=2),)
 
 
 def test_all_equal_distances_follow_tie_break():
     square = np.full((4, 4), 0.5)
     np.fill_diagonal(square, 0.0)
-    tree = build_dendrogram(distances_from_square(square))
+    tree = build_dendrogram(PairwiseDistances(square))
     # lowest representatives first: (0,1), then ({0,1},2), then (...,3)
     assert [(m.left, m.right) for m in tree.merges] == [(0, 1), (4, 2), (5, 3)]
     assert all(m.distance == 0.5 for m in tree.merges)
@@ -122,7 +116,7 @@ def test_merge_distances_non_decreasing():
     rng = np.random.default_rng(41)
     for trial in range(30):
         square = random_square(rng, int(rng.integers(2, 12)), discrete=trial % 2 == 0)
-        tree = build_dendrogram(distances_from_square(square))
+        tree = build_dendrogram(PairwiseDistances(square))
         dists = [m.distance for m in tree.merges]
         assert dists == sorted(dists)
 
@@ -131,7 +125,7 @@ def test_determinism_with_heavy_ties():
     rng = np.random.default_rng(43)
     for _ in range(10):
         square = random_square(rng, 9, discrete=True)
-        d = distances_from_square(square)
+        d = PairwiseDistances(square)
         assert build_dendrogram(d) == build_dendrogram(d)
 
 
@@ -151,7 +145,7 @@ def tie_heavy_squares(draw):
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_squares())
 def test_merge_list_matches_naive_reference_under_ties(square):
-    tree = build_dendrogram(distances_from_square(square))
+    tree = build_dendrogram(PairwiseDistances(square))
     _, _, merges = naive_stop_early(square.tolist(), np.inf, 1)
     assert [(m.left, m.right, m.distance, m.new_id) for m in tree.merges] == merges
 
@@ -160,7 +154,7 @@ def test_merge_heights_match_scipy_without_ties():
     rng = np.random.default_rng(67)
     for _ in range(20):
         n = int(rng.integers(2, 40))
-        d = distances_from_square(random_square(rng, n))
+        d = PairwiseDistances(random_square(rng, n))
         assert len(set(d.values.tolist())) == d.values.size
         heights = [m.distance for m in build_dendrogram(d).merges]
         assert heights == linkage(d.values, "complete")[:, 2].tolist()
@@ -168,7 +162,7 @@ def test_merge_heights_match_scipy_without_ties():
 
 def test_dendrogram_needs_two_items():
     with pytest.raises(ValueError, match="two items"):
-        build_dendrogram(PairwiseDistances(n=1, values=np.zeros(0)))
+        build_dendrogram(PairwiseDistances(np.zeros((1, 1))))
 
 
 def test_dendrogram_validates_merge_count_and_order():
@@ -190,7 +184,7 @@ def test_cut_worked_example():
         [0.6, 0.8, 0.0, 0.2],
         [0.7, 0.9, 0.2, 0.0],
     ]
-    tree = build_dendrogram(distances_from_square(square))
+    tree = build_dendrogram(PairwiseDistances(square))
     cut = cut_at_threshold(tree, 0.5)
     assert cut.groups == ((0, 1), (2, 3))
     assert cut.ungrouped == ()
@@ -199,21 +193,21 @@ def test_cut_worked_example():
 def test_cut_at_one_is_the_absolute_group():
     rng = np.random.default_rng(47)
     square = random_square(rng, 8)
-    tree = build_dendrogram(distances_from_square(square))
+    tree = build_dendrogram(PairwiseDistances(square))
     cut = cut_at_threshold(tree, 1.0)
     assert cut.groups == (tuple(range(8)),)
 
 
 def test_cut_at_zero_groups_nothing_when_distances_positive():
     square = [[0.0, 0.3, 0.4], [0.3, 0.0, 0.5], [0.4, 0.5, 0.0]]
-    tree = build_dendrogram(distances_from_square(square))
+    tree = build_dendrogram(PairwiseDistances(square))
     cut = cut_at_threshold(tree, 0.0)
     assert cut.groups == ()
     assert cut.ungrouped == (0, 1, 2)
 
 
 def test_cut_threshold_is_inclusive():
-    tree = build_dendrogram(distances_from_square([[0, 0.3], [0.3, 0]]))
+    tree = build_dendrogram(PairwiseDistances([[0, 0.3], [0.3, 0]]))
     assert cut_at_threshold(tree, 0.3).groups == ((0, 1),)
 
 
@@ -225,14 +219,14 @@ def test_cut_min_size_filter():
         [0.9, 0.9, 0.2, 0.0, 0.3],
         [0.9, 0.9, 0.3, 0.3, 0.0],
     ]
-    tree = build_dendrogram(distances_from_square(square))
+    tree = build_dendrogram(PairwiseDistances(square))
     cut = cut_at_threshold(tree, 0.5, min_size=3)
     assert cut.groups == ((2, 3, 4),)
     assert cut.ungrouped == (0, 1)
 
 
 def test_cut_validates_inputs():
-    tree = build_dendrogram(distances_from_square([[0, 0.3], [0.3, 0]]))
+    tree = build_dendrogram(PairwiseDistances([[0, 0.3], [0.3, 0]]))
     with pytest.raises(ValueError, match="alpha"):
         cut_at_threshold(tree, 1.5)
     with pytest.raises(ValueError, match="min_size"):
@@ -245,7 +239,7 @@ def test_cut_matches_naive_stop_early():
     for trial in range(12):
         n = int(rng.integers(2, 8))
         square = random_square(rng, n, discrete=trial % 2 == 0)
-        tree = build_dendrogram(distances_from_square(square))
+        tree = build_dendrogram(PairwiseDistances(square))
         for alpha in alphas:
             for min_size in (1, 2):
                 cut = cut_at_threshold(tree, alpha, min_size=min_size)
@@ -260,7 +254,7 @@ def test_nesting_across_thresholds():
     rng = np.random.default_rng(59)
     for _ in range(8):
         square = random_square(rng, 10)
-        tree = build_dendrogram(distances_from_square(square))
+        tree = build_dendrogram(PairwiseDistances(square))
         previous = None
         for alpha in [k / 10 for k in range(11)]:
             cut = cut_at_threshold(tree, alpha, min_size=1)
@@ -275,7 +269,7 @@ def test_grouped_items_grow_with_alpha():
     rng = np.random.default_rng(61)
     for _ in range(8):
         square = random_square(rng, 10, discrete=True)
-        tree = build_dendrogram(distances_from_square(square))
+        tree = build_dendrogram(PairwiseDistances(square))
         seen = set()
         for alpha in [k / 10 for k in range(11)]:
             cut = cut_at_threshold(tree, alpha)
@@ -320,7 +314,7 @@ def test_clustering_from_json_requires_fields():
 
 def test_dendrogram_csv_lists_merges(tmp_path):
     tree = build_dendrogram(
-        distances_from_square([[0.0, 0.25, 0.5], [0.25, 0.0, 0.75], [0.5, 0.75, 0.0]])
+        PairwiseDistances([[0.0, 0.25, 0.5], [0.25, 0.0, 0.75], [0.5, 0.75, 0.0]])
     )
     path = tmp_path / "tree.csv"
     text = dendrogram_to_csv(tree, path)
