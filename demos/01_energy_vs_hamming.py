@@ -24,7 +24,7 @@ docs = [
 ]
 
 matrix = build_matrix(docs)
-print("dictionary:", matrix.dictionary.entries)
+print("dictionary:", matrix.terms)
 print("binary matrix (rows = docs):")
 print(matrix.data)
 print()

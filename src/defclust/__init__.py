@@ -13,16 +13,13 @@ from .corpus import (
     DEF_TYPES,
     BinaryDocTermMatrix,
     Document,
-    TermDictionary,
     Tokenizer,
-    build_dictionary,
     build_matrix,
     load_corpus,
     load_phrases,
     load_stopwords,
     parse_jsonl_corpus,
     tokenize,
-    vectorize,
 )
 from .datasets import (
     spanish_stopwords,
@@ -98,11 +95,9 @@ __all__ = [
     "PLACEHOLDER",
     "SearchPattern",
     "SweepGrid",
-    "TermDictionary",
     "Tokenizer",
     "ZONES",
     "build_dendrogram",
-    "build_dictionary",
     "build_matrix",
     "candidates_to_corpus",
     "candidates_to_jsonl",
@@ -133,5 +128,4 @@ __all__ = [
     "synthetic_gold",
     "synthetic_tokenizer",
     "tokenize",
-    "vectorize",
 ]

@@ -29,7 +29,6 @@ from .corpus import (
     load_corpus,
     load_phrases,
     load_stopwords,
-    parse_jsonl_corpus,
 )
 from .distance import (
     DISTANCE_MODES,
@@ -232,24 +231,6 @@ def _distances(args, matrix):
     return energy_distance_vector(energy_matrix(matrix), mode=args.distance_mode)
 
 
-def _load_gold(path: str) -> GoldAnnotation:
-    """Gold file: JSONL of {"id", "sense"}, or a corpus with gold_sense.
-
-    The first record decides: a ``gold_sense`` key marks a corpus.  Anything
-    else, unparsable lines included, goes to the gold-line parser, which
-    reports errors with their line numbers.  The file is read once.
-    """
-    lines = read_utf8(path).splitlines()
-    first = next((line for line in lines if line.strip()), "")
-    try:
-        record = json.loads(first)
-    except json.JSONDecodeError:
-        record = None
-    if isinstance(record, dict) and "gold_sense" in record:
-        return GoldAnnotation.from_documents(parse_jsonl_corpus(lines, origin=str(path)))
-    return GoldAnnotation.from_lines(lines, origin=str(path))
-
-
 def _load_clustering(path: str):
     try:
         record = json.loads(read_utf8(path))
@@ -322,7 +303,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_sweep(args) -> int:
     docs = _load_pairable_corpus(args)
-    gold = _load_gold(args.gold) if args.gold else GoldAnnotation.from_documents(docs)
+    gold = GoldAnnotation.load(args.gold) if args.gold else GoldAnnotation.from_documents(docs)
     matrix = build_matrix(docs, _tokenizer_from(args))
     tree = build_dendrogram(_distances(args, matrix))
     rows = run_sweep(tree, total=len(docs), gold=gold, grid=args.grid, min_size=args.min_size)
@@ -333,7 +314,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     clustering = _load_clustering(args.clustering)
-    gold = _load_gold(args.gold)
+    gold = GoldAnnotation.load(args.gold)
     total = clustering.grouped_count() + len(clustering.ungrouped)
     p = precision(clustering, identify_intruders(clustering, gold))
     result = {
@@ -353,7 +334,7 @@ def _cmd_report(args) -> int:
     if args.corpus:
         docs = load_corpus(args.corpus, format=args.format)
         texts = {doc.id: doc.text for doc in docs}
-    gold = _load_gold(args.gold) if args.gold else None
+    gold = GoldAnnotation.load(args.gold) if args.gold else None
     _write_output(args.output, format_cluster_report(clustering, texts=texts, gold=gold))
     return 0
 

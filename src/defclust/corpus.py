@@ -2,10 +2,10 @@
 
 A document is a short text; its lexical entities (ELs) are the tokens
 produced by :class:`Tokenizer`.  A collection of documents is represented
-as a binary presence/absence matrix: cell (j, i) is 1 iff dictionary
-entry i occurs in document j.  Term frequency beyond presence is
-deliberately discarded, which rules out real-valued weightings such as
-tf-idf or cosine downstream.
+as a binary presence/absence matrix: cell (j, i) is 1 iff term i of the
+collection's sorted vocabulary occurs in document j.  Term frequency
+beyond presence is deliberately discarded, which rules out real-valued
+weightings such as tf-idf or cosine downstream.
 """
 
 from __future__ import annotations
@@ -156,45 +156,20 @@ def load_phrases(path: str | Path) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-class TermDictionary:
-    """The sorted list of unique lexical entities of a collection.
-
-    Entries are ordered lexicographically by code point of the normalized
-    form (equivalently, UTF-8 byte order), so the column layout is stable
-    no matter how the input documents were ordered.
-    """
-
-    __slots__ = ("entries", "index")
-
-    def __init__(self, entities: Iterable[str]):
-        self.entries: tuple[str, ...] = tuple(sorted(set(entities)))
-        self.index: dict[str, int] = {e: i for i, e in enumerate(self.entries)}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, entity: str) -> bool:
-        return entity in self.index
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TermDictionary) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"TermDictionary({len(self.entries)} entries)"
-
-
 @dataclass(frozen=True)
 class BinaryDocTermMatrix:
     """Binary document x lexical-entity matrix.
 
-    ``data[j, i]`` is 1 iff dictionary entry i occurs in document j.
-    Every row has at least one 1: documents that tokenize to nothing are
-    rejected at ingestion so evaluation denominators stay honest.
+    ``data[j, i]`` is 1 iff ``terms[i]`` occurs in document j.  ``terms``
+    holds the column labels, the collection's distinct lexical entities in
+    code-point order (equivalently, UTF-8 byte order).  Every row has at
+    least one 1: documents that tokenize to nothing are rejected at
+    ingestion so evaluation denominators stay honest.
     """
 
     data: np.ndarray
     doc_ids: tuple[str, ...]
-    dictionary: TermDictionary
+    terms: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.data.ndim != 2:
@@ -202,8 +177,8 @@ class BinaryDocTermMatrix:
         n, p = self.data.shape
         if len(self.doc_ids) != n:
             raise ValueError("doc_ids length must match the row count")
-        if len(self.dictionary) != p:
-            raise ValueError("dictionary size must match the column count")
+        if len(self.terms) != p:
+            raise ValueError("terms length must match the column count")
         if n and not np.isin(self.data, (0, 1)).all():
             raise ValueError("matrix cells must be exactly 0 or 1")
         if n and not self.data.any(axis=1).all():
@@ -274,57 +249,29 @@ def parse_jsonl_corpus(lines: Iterable[str], origin: str = "<jsonl>") -> list[Do
     return docs
 
 
-def build_dictionary(
+def build_matrix(
     docs: Sequence[Document], tokenizer: Tokenizer | None = None
-) -> TermDictionary:
-    """Dictionary of all lexical entities occurring in ``docs``.
+) -> BinaryDocTermMatrix:
+    """Binary presence/absence matrix of ``docs`` over their union vocabulary.
 
-    The result is independent of document order (sorted union).
+    Each document is tokenized once.  Columns are the distinct tokens in
+    code-point order, so the column layout does not depend on document
+    order; row j always corresponds to ``docs[j]``.
     """
     if not docs:
         raise ValueError("cannot build a dictionary from an empty collection")
     tok = tokenizer if tokenizer is not None else Tokenizer()
-    vocabulary: set[str] = set()
-    for doc in docs:
-        vocabulary.update(tok.doc_tokens(doc))
-    if not vocabulary:
+    token_sets = [set(tok.doc_tokens(doc)) for doc in docs]
+    terms = tuple(sorted(set().union(*token_sets)))
+    if not terms:
         raise DataError("all documents tokenized to nothing")
-    return TermDictionary(vocabulary)
-
-
-def vectorize(
-    docs: Sequence[Document],
-    dictionary: TermDictionary,
-    tokenizer: Tokenizer | None = None,
-) -> BinaryDocTermMatrix:
-    """Binary presence/absence matrix of ``docs`` over ``dictionary``.
-
-    Deterministic: same documents and dictionary give a bit-identical
-    matrix, and row j always corresponds to ``docs[j]``.
-    """
-    tok = tokenizer if tokenizer is not None else Tokenizer()
-    n, p = len(docs), len(dictionary)
     ids = tuple(doc.id for doc in docs)
-    if len(set(ids)) != n:
+    if len(set(ids)) != len(ids):
         raise DataError("document ids must be unique within a collection")
-    data = np.zeros((n, p), dtype=np.uint8)
-    for j, doc in enumerate(docs):
-        tokens = tok.doc_tokens(doc)
+    column = {term: i for i, term in enumerate(terms)}
+    data = np.zeros((len(docs), len(terms)), dtype=np.uint8)
+    for j, (doc, tokens) in enumerate(zip(docs, token_sets)):
         if not tokens:
             raise DataError(f"document {doc.id!r} tokenized to nothing")
-        for token in tokens:
-            i = dictionary.index.get(token)
-            if i is None:
-                raise DataError(
-                    f"token {token!r} of document {doc.id!r} is missing "
-                    f"from the dictionary"
-                )
-            data[j, i] = 1
-    return BinaryDocTermMatrix(data=data, doc_ids=ids, dictionary=dictionary)
-
-
-def build_matrix(
-    docs: Sequence[Document], tokenizer: Tokenizer | None = None
-) -> BinaryDocTermMatrix:
-    """Dictionary construction and vectorization in one step."""
-    return vectorize(docs, build_dictionary(docs, tokenizer), tokenizer)
+        data[j, [column[token] for token in tokens]] = 1
+    return BinaryDocTermMatrix(data=data, doc_ids=ids, terms=terms)

@@ -205,10 +205,16 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
     if n < 2:
         raise ValueError("need at least two documents to form pairs")
     gram = arr @ arr.T
-    ones = np.diag(gram)
-    # integer counts, so the square is exactly symmetric with a zero diagonal
-    differing = ones[:, None] + ones[None, :] - 2 * gram
-    return PairwiseDistances(differing / p, ids=ids)
+    # a copy: the diagonal is a view of the buffer overwritten below
+    ones = gram.diagonal().copy()
+    # in place on the one n x n buffer; every step holds integers of
+    # magnitude at most 2p, so the square is exactly symmetric with a zero
+    # diagonal
+    gram *= -2
+    gram += ones[:, None]
+    gram += ones[None, :]
+    gram /= p
+    return PairwiseDistances(gram, ids=ids)
 
 
 def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:

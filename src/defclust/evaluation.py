@@ -32,6 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import parse_jsonl_corpus
 from .errors import DataError, read_utf8
 from .hac import Clustering, Dendrogram, cut_at_threshold
 
@@ -63,8 +64,21 @@ class GoldAnnotation:
 
     @classmethod
     def load(cls, path: str | Path) -> "GoldAnnotation":
-        """Gold file: JSONL of {"id": string, "sense": string}."""
-        return cls.from_lines(read_utf8(path).splitlines(), origin=str(path))
+        """Gold file: JSONL of {"id", "sense"}, or a corpus with gold_sense.
+
+        The first record decides: a ``gold_sense`` key marks a corpus.  Anything
+        else, unparsable lines included, goes to the gold-line parser, which
+        reports errors with their line numbers.  The file is read once.
+        """
+        lines = read_utf8(path).splitlines()
+        first = next((line for line in lines if line.strip()), "")
+        try:
+            record = json.loads(first)
+        except json.JSONDecodeError:
+            record = None
+        if isinstance(record, dict) and "gold_sense" in record:
+            return cls.from_documents(parse_jsonl_corpus(lines, origin=str(path)))
+        return cls.from_lines(lines, origin=str(path))
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], origin: str = "<jsonl>") -> "GoldAnnotation":

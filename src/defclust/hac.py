@@ -183,21 +183,38 @@ def cut_at_threshold(
 
 
 def clustering_from_json_dict(record: dict) -> Clustering:
-    """Rebuild a Clustering from its JSON form (labels become items)."""
+    """Rebuild a Clustering from its JSON form (labels become items).
+
+    ``alpha`` must lie in [0, 1], ``groups`` must be a list of non-empty
+    lists and ``ungrouped`` a list, and no label may occur twice; anything
+    else raises ``ValueError``.
+    """
     for field in ("alpha", "groups", "ungrouped"):
         if field not in record:
             raise ValueError(f"clustering JSON is missing field {field!r}")
-    labels = sorted(
-        {label for group in record["groups"] for label in group}
-        | set(record["ungrouped"])
-    )
+    alpha = float(record["alpha"])
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not isinstance(record["groups"], list) or not all(
+        isinstance(group, list) and group for group in record["groups"]
+    ):
+        raise ValueError("groups must be a list of non-empty lists")
+    if not isinstance(record["ungrouped"], list):
+        raise ValueError("ungrouped must be a list")
+    seen = set()
+    grouped = [label for group in record["groups"] for label in group]
+    for label in grouped + record["ungrouped"]:
+        if label in seen:
+            raise ValueError(f"label {label!r} occurs more than once")
+        seen.add(label)
+    labels = sorted(seen)
     position = {label: i for i, label in enumerate(labels)}
     groups = tuple(
         tuple(sorted(position[label] for label in group))
         for group in record["groups"]
     )
     return Clustering(
-        alpha=float(record["alpha"]),
+        alpha=alpha,
         groups=tuple(sorted(groups, key=lambda g: g[0])),
         ungrouped=tuple(sorted(position[label] for label in record["ungrouped"])),
         min_size=min((len(g) for g in groups), default=1),

@@ -274,6 +274,32 @@ def test_eval_rejects_non_clustering_json(tmp_path, gold_file, capsys):
     assert main(["eval", str(bad), str(gold_file)]) == 2
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"alpha": 0.8, "groups": [[]], "ungrouped": ["a1"]},
+        {"alpha": 5, "groups": [["a1", "a2"]], "ungrouped": ["b1"]},
+        {"alpha": 0.8, "groups": [["a1", "a2"], ["a2", "b1"]], "ungrouped": []},
+        {"alpha": 0.8, "groups": [["a1", "a2"]], "ungrouped": ["a2", "b1"]},
+        {"alpha": 0.8, "groups": "ab", "ungrouped": []},
+    ],
+    ids=["empty-group", "alpha-5", "label-in-two-groups", "label-grouped-and-ungrouped",
+         "groups-string"],
+)
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_malformed_clustering_is_a_located_data_error(
+    command, record, tmp_path, gold_file, capsys
+):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    if command == "eval":
+        argv = ["eval", str(path), str(gold_file)]
+    else:
+        argv = ["report", str(path), "--gold", str(gold_file)]
+    assert main(argv) == 2
+    assert f"error: {path}: not a clustering file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["sweep", "eval"])
 def test_gold_file_is_read_once(
     command, corpus_file, clustering_file, gold_file, monkeypatch, capsys

@@ -4,22 +4,19 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from defclust import (
     BinaryDocTermMatrix,
     DataError,
     Document,
-    TermDictionary,
     Tokenizer,
-    build_dictionary,
     build_matrix,
     load_corpus,
     load_phrases,
     load_stopwords,
     parse_jsonl_corpus,
     tokenize,
-    vectorize,
 )
 from defclust.errors import read_utf8
 
@@ -190,27 +187,25 @@ def test_read_utf8_translates_newlines_like_text_mode(tmp_path):
 # ---------------------------------------------------------------- dictionary
 
 def test_dictionary_entries_sorted_and_unique():
-    d = TermDictionary(["b", "a", "c", "a"])
-    assert d.entries == ("a", "b", "c")
-    assert d.index == {"a": 0, "b": 1, "c": 2}
-    assert len(d) == 3
-    assert "b" in d and "z" not in d
+    m = build_matrix([Document(id="1", text="b a c a")])
+    assert m.terms == ("a", "b", "c")
+    assert m.data.tolist() == [[1, 1, 1]]
 
 
 def test_build_dictionary_is_union_of_tokens():
     docs = [Document(id="1", text="a b"), Document(id="2", text="b c")]
-    assert build_dictionary(docs).entries == ("a", "b", "c")
+    assert build_matrix(docs).terms == ("a", "b", "c")
 
 
 def test_build_dictionary_rejects_empty_collection():
     with pytest.raises(ValueError):
-        build_dictionary([])
+        build_matrix([])
 
 
 def test_build_dictionary_rejects_all_empty_tokenizations():
     docs = [Document(id="1", text="...")]
     with pytest.raises(DataError, match="tokenized to nothing"):
-        build_dictionary(docs)
+        build_matrix(docs)
 
 
 def test_dictionary_order_stable_under_doc_reordering():
@@ -220,16 +215,16 @@ def test_dictionary_order_stable_under_doc_reordering():
     docs = make_docs(rng, 12)
     shuffled = list(docs)
     rng.shuffle(shuffled)
-    assert build_dictionary(docs) == build_dictionary(shuffled)
+    assert build_matrix(docs).terms == build_matrix(shuffled).terms
 
 
 # ---------------------------------------------------------------- vectorize
 
 def test_vectorize_presence_collapses_repeats():
-    docs = [Document(id="1", text="a a c")]
-    dictionary = TermDictionary(["a", "b", "c"])
-    m = vectorize(docs, dictionary)
-    assert m.data.tolist() == [[1, 0, 1]]
+    docs = [Document(id="1", text="a a c"), Document(id="2", text="b")]
+    m = build_matrix(docs)
+    assert m.terms == ("a", "b", "c")
+    assert m.data.tolist() == [[1, 0, 1], [0, 1, 0]]
 
 
 def test_vectorize_identical_docs_identical_rows():
@@ -238,25 +233,16 @@ def test_vectorize_identical_docs_identical_rows():
     assert (m.data[0] == m.data[1]).all()
 
 
-def test_vectorize_missing_token_names_token_and_doc():
-    docs = [Document(id="d9", text="a z")]
-    dictionary = TermDictionary(["a"])
-    with pytest.raises(DataError, match="'z'.*'d9'"):
-        vectorize(docs, dictionary)
-
-
 def test_vectorize_rejects_duplicate_ids():
     docs = [Document(id="1", text="a"), Document(id="1", text="b")]
-    dictionary = TermDictionary(["a", "b"])
     with pytest.raises(DataError, match="unique"):
-        vectorize(docs, dictionary)
+        build_matrix(docs)
 
 
 def test_vectorize_rejects_doc_tokenizing_to_nothing():
     docs = [Document(id="1", text="a"), Document(id="2", text="?!")]
-    dictionary = TermDictionary(["a"])
     with pytest.raises(DataError, match="'2'"):
-        vectorize(docs, dictionary)
+        build_matrix(docs)
 
 
 def test_vectorize_deterministic_bit_identical():
@@ -268,7 +254,7 @@ def test_vectorize_deterministic_bit_identical():
     b = build_matrix(docs)
     assert np.array_equal(a.data, b.data)
     assert a.doc_ids == b.doc_ids
-    assert a.dictionary == b.dictionary
+    assert a.terms == b.terms
 
 
 @settings(max_examples=40)
@@ -288,7 +274,7 @@ def test_vectorize_cell_iff_token_present(token_lists):
     tok = Tokenizer()
     for j, doc in enumerate(docs):
         present = set(tok.doc_tokens(doc))
-        for i, entry in enumerate(m.dictionary.entries):
+        for i, entry in enumerate(m.terms):
             assert m.data[j, i] == (1 if entry in present else 0)
 
 
@@ -297,13 +283,123 @@ def test_reordering_docs_permutes_rows_identically():
 
     rng = random.Random(11)
     docs = make_docs(rng, 10)
-    dictionary = build_dictionary(docs)
-    base = vectorize(docs, dictionary)
+    base = build_matrix(docs)
     order = list(range(len(docs)))
     rng.shuffle(order)
-    permuted = vectorize([docs[k] for k in order], dictionary)
+    permuted = build_matrix([docs[k] for k in order])
+    assert permuted.terms == base.terms
     assert np.array_equal(permuted.data, base.data[order])
     assert permuted.doc_ids == tuple(base.doc_ids[k] for k in order)
+
+
+def test_build_matrix_tokenizes_each_document_once(monkeypatch):
+    import random
+
+    calls = []
+    doc_tokens = Tokenizer.doc_tokens
+
+    def counting_doc_tokens(self, doc):
+        calls.append(doc.id)
+        return doc_tokens(self, doc)
+
+    monkeypatch.setattr(Tokenizer, "doc_tokens", counting_doc_tokens)
+    docs = make_docs(random.Random(5), 9)
+    build_matrix(docs, Tokenizer(drop_term=True))
+    assert calls == [doc.id for doc in docs]
+
+
+# ------------------------------------------------- one pass vs two passes
+
+def reference_build_matrix(docs, tokenizer=None):
+    """The two-pass construction: collect the vocabulary, then fill rows.
+
+    Returns ``(data, terms, doc_ids)``.  Every document is tokenized once
+    for the vocabulary and once more for its row.
+    """
+    if not docs:
+        raise ValueError("cannot build a dictionary from an empty collection")
+    tok = tokenizer if tokenizer is not None else Tokenizer()
+    vocabulary = set()
+    for doc in docs:
+        vocabulary.update(tok.doc_tokens(doc))
+    if not vocabulary:
+        raise DataError("all documents tokenized to nothing")
+    terms = tuple(sorted(vocabulary))
+    index = {term: i for i, term in enumerate(terms)}
+    ids = tuple(doc.id for doc in docs)
+    if len(set(ids)) != len(docs):
+        raise DataError("document ids must be unique within a collection")
+    data = np.zeros((len(docs), len(terms)), dtype=np.uint8)
+    for j, doc in enumerate(docs):
+        tokens = tok.doc_tokens(doc)
+        if not tokens:
+            raise DataError(f"document {doc.id!r} tokenized to nothing")
+        for token in tokens:
+            data[j, index[token]] = 1
+    return data, terms, ids
+
+
+def _outcome(build, docs, tok):
+    try:
+        return build(docs, tok)
+    except ValueError as exc:  # DataError included
+        return type(exc), str(exc)
+
+
+# accents, upper case, punctuation-only pieces, stopword and phrase words
+PIECES = WORDS + (
+    "Célula", "LUZ", "la", "de", "república", "República Francesa", "la luz", "¿?", "...",
+)
+
+docs_strategy = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(PIECES), min_size=1, max_size=7),
+        st.none() | st.sampled_from(("luz", "célula", "república francesa")),
+        st.integers(0, 11),
+    ),
+    min_size=1,
+    max_size=9,
+).map(
+    lambda rows: [
+        # id collisions only when the drawn slot is 11, so most runs get
+        # past the duplicate-id check
+        Document(id=f"d{k}" if k == 11 else f"d{j}", text=" ".join(words), term=term)
+        for j, (words, term, k) in enumerate(rows)
+    ]
+)
+
+tokenizer_strategy = st.builds(
+    Tokenizer,
+    stopwords=st.frozensets(st.sampled_from(("la", "de", "luz", "célula", "ñandú"))),
+    phrases=st.lists(
+        st.sampled_from((("república", "francesa"), ("la", "luz"), ("dato", "mapa", "nube"))),
+        unique=True,
+    ).map(tuple),
+    drop_term=st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs_strategy, tokenizer_strategy)
+@example([], Tokenizer())
+# each error case, and each ahead of the next when both apply
+@example([Document(id="1", text="¿?"), Document(id="1", text="...")], Tokenizer())
+@example([Document(id="x", text="a"), Document(id="x", text="...")], Tokenizer())
+@example(
+    [Document(id="1", text="luz"), Document(id="2", text="la de"), Document(id="3", text="?")],
+    Tokenizer(stopwords=frozenset({"la", "de"})),
+)
+def test_build_matrix_equals_two_pass_reference(docs, tok):
+    got = _outcome(build_matrix, docs, tok)
+    want = _outcome(reference_build_matrix, docs, tok)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    data, terms, ids = want
+    assert got.data.dtype == np.uint8
+    assert np.array_equal(got.data, data)
+    assert got.terms == terms
+    assert got.doc_ids == ids
 
 
 # ---------------------------------------------------------------- matrix type
@@ -313,7 +409,7 @@ def test_matrix_rejects_non_binary_cells():
         BinaryDocTermMatrix(
             data=np.array([[2, 0]]),
             doc_ids=("d1",),
-            dictionary=TermDictionary(["a", "b"]),
+            terms=("a", "b"),
         )
 
 
@@ -322,7 +418,7 @@ def test_matrix_rejects_all_zero_row():
         BinaryDocTermMatrix(
             data=np.array([[1, 0], [0, 0]]),
             doc_ids=("d1", "d2"),
-            dictionary=TermDictionary(["a", "b"]),
+            terms=("a", "b"),
         )
 
 
@@ -331,13 +427,13 @@ def test_matrix_rejects_shape_mismatches():
         BinaryDocTermMatrix(
             data=np.array([[1, 0]]),
             doc_ids=("d1", "d2"),
-            dictionary=TermDictionary(["a", "b"]),
+            terms=("a", "b"),
         )
-    with pytest.raises(ValueError, match="dictionary"):
+    with pytest.raises(ValueError, match="terms length"):
         BinaryDocTermMatrix(
             data=np.array([[1, 0]]),
             doc_ids=("d1",),
-            dictionary=TermDictionary(["a"]),
+            terms=("a",),
         )
 
 

@@ -11,6 +11,7 @@ used to take before the n x n square became their only layout.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,21 @@ def test_hamming_metric_axioms_small():
                 assert d[i, j] > 0.0
             for k in range(n):
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-12
+
+
+def test_hamming_peak_stays_near_one_square():
+    # with few columns the n x n float64 square is nearly all the memory a
+    # call needs; building the distances through n x n temporaries would
+    # take about four squares
+    n = 600
+    arr = random_binary(np.random.default_rng(31), n, 6)
+    tracemalloc.start()
+    try:
+        hamming_distance_vector(arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
 
 
 def test_hamming_needs_pairs_and_columns():

@@ -236,6 +236,15 @@ def test_gold_load_reports_malformed_lines(tmp_path):
         GoldAnnotation.load(path)
 
 
+def test_gold_load_reads_a_corpus_with_gold_sense(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        '{"id":"d1","text":"a b","gold_sense":"s1"}\n{"id":"d2","text":"c","gold_sense":"s2"}\n',
+        encoding="utf-8",
+    )
+    assert GoldAnnotation.load(path).sense_of == {"d1": "s1", "d2": "s2"}
+
+
 def test_gold_from_documents_requires_labels():
     docs = [
         Document(id="d1", text="x", gold_sense="s1"),
