@@ -25,7 +25,7 @@ tree = build_dendrogram(energy_distance_vector(energy_matrix(matrix)))
 rows = run_sweep(tree, total=len(docs), gold=synthetic_gold())
 
 out = Path(__file__).with_name("sweep_demo.csv")
-sweep_to_csv(rows, out)
+out.write_text(sweep_to_csv(rows), encoding="utf-8")
 print(f"wrote {len(rows)} rows to {out}")
 print(ZONE_NOTE)
 print()

@@ -38,19 +38,18 @@ from .distance import (
 )
 from .errors import DataError, read_utf8
 from .evaluation import (
+    SWEEP_CSV_HEADER,
     ZONE_NOTE,
     GoldAnnotation,
     SweepGrid,
-    classify_zone,
     format_cluster_report,
-    identify_intruders,
-    precision,
-    recall,
     run_sweep,
+    score_clustering,
     sweep_to_csv,
 )
 from .hac import (
     build_dendrogram,
+    check_alpha,
     clustering_from_json_dict,
     clustering_to_json,
     cut_at_threshold,
@@ -79,9 +78,10 @@ def _alpha_value(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in [0, 1], got {value}")
-    return value
+    try:
+        return check_alpha(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _grid_value(text: str) -> SweepGrid:
@@ -101,7 +101,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_tokenizer_flags(sub: argparse.ArgumentParser) -> None:
+def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
     sub.add_argument("--stopwords", metavar="PATH", help="stopword file, one per line")
     sub.add_argument("--phrases", metavar="PATH", help="multi-word entity file, one per line")
     sub.add_argument(
@@ -119,11 +120,6 @@ def _add_distance_flags(sub: argparse.ArgumentParser) -> None:
         default="inverted",
         help="energy only: inverted = 1 - normalized energy (default), raw = normalized energy",
     )
-
-
-def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
-    _add_tokenizer_flags(sub)
 
 
 def build_parser() -> _Parser:
@@ -220,15 +216,17 @@ def _write_output(path: str | None, text: str) -> None:
 def _tokenizer_from(args) -> Tokenizer:
     stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
     phrases = load_phrases(args.phrases) if args.phrases else ()
-    return Tokenizer(
-        stopwords=stopwords, phrases=phrases, drop_term=getattr(args, "drop_term", False)
-    )
+    return Tokenizer(stopwords=stopwords, phrases=phrases, drop_term=args.drop_term)
 
 
-def _distances(args, matrix):
+def _dendrogram(args, docs):
+    """Complete-linkage tree of ``docs`` under the tokenizer and distance flags."""
+    matrix = build_matrix(docs, _tokenizer_from(args))
     if args.distance == "hamming":
-        return hamming_distance_vector(matrix)
-    return energy_distance_vector(energy_matrix(matrix), mode=args.distance_mode)
+        dist = hamming_distance_vector(matrix)
+    else:
+        dist = energy_distance_vector(energy_matrix(matrix), mode=args.distance_mode)
+    return build_dendrogram(dist)
 
 
 def _load_clustering(path: str):
@@ -293,9 +291,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    docs = _load_pairable_corpus(args)
-    matrix = build_matrix(docs, _tokenizer_from(args))
-    tree = build_dendrogram(_distances(args, matrix))
+    tree = _dendrogram(args, _load_pairable_corpus(args))
     clustering = cut_at_threshold(tree, args.alpha, min_size=args.min_size)
     _write_output(args.output, clustering_to_json(clustering) + "\n")
     return 0
@@ -304,8 +300,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_sweep(args) -> int:
     docs = _load_pairable_corpus(args)
     gold = GoldAnnotation.load(args.gold) if args.gold else GoldAnnotation.from_documents(docs)
-    matrix = build_matrix(docs, _tokenizer_from(args))
-    tree = build_dendrogram(_distances(args, matrix))
+    tree = _dendrogram(args, docs)
     rows = run_sweep(tree, total=len(docs), gold=gold, grid=args.grid, min_size=args.min_size)
     _write_output(args.output, sweep_to_csv(rows))
     print(ZONE_NOTE, file=sys.stderr)
@@ -316,14 +311,8 @@ def _cmd_eval(args) -> int:
     clustering = _load_clustering(args.clustering)
     gold = GoldAnnotation.load(args.gold)
     total = clustering.grouped_count() + len(clustering.ungrouped)
-    p = precision(clustering, identify_intruders(clustering, gold))
-    result = {
-        "alpha": clustering.alpha,
-        "num_groups": len(clustering.groups),
-        "precision": p,
-        "recall": recall(clustering, total),
-        "zone": classify_zone(clustering.alpha),
-    }
+    row = score_clustering(clustering, total, gold)
+    result = {name: getattr(row, name) for name in SWEEP_CSV_HEADER}
     _write_output(args.output, json.dumps(result, ensure_ascii=False) + "\n")
     return 0
 

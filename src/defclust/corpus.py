@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +39,8 @@ class Document:
 
     ``term`` is the word the text defines, ``def_type`` one of
     ``analytic``/``extensional``/``functional``, ``gold_sense`` an
-    acception label used only for evaluation.
+    acception label used only for evaluation.  ``term`` is a string and
+    ``gold_sense`` is not a list or dict.
     """
 
     id: str
@@ -53,6 +54,10 @@ class Document:
             raise DataError("document id must be a non-empty string")
         if not isinstance(self.text, str) or not self.text.strip():
             raise DataError(f"document {self.id!r} has empty text")
+        if self.term is not None and not isinstance(self.term, str):
+            raise DataError(f"document {self.id!r}: term must be a string")
+        if isinstance(self.gold_sense, (list, dict)):
+            raise DataError(f"document {self.id!r}: gold_sense must not be an array or object")
         if self.def_type is not None and self.def_type not in DEF_TYPES:
             raise DataError(
                 f"document {self.id!r}: def_type must be one of {DEF_TYPES}, "
@@ -216,10 +221,8 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[Document]:
     return docs
 
 
-def parse_jsonl_corpus(lines: Iterable[str], origin: str = "<jsonl>") -> list[Document]:
-    """Parse JSONL corpus records; blank lines are skipped."""
-    docs: list[Document] = []
-    seen: set[str] = set()
+def jsonl_records(lines: Iterable[str], origin: str) -> Iterator[tuple[int, dict]]:
+    """``(lineno, object)`` per non-blank line; errors name ``origin:lineno``."""
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -229,6 +232,14 @@ def parse_jsonl_corpus(lines: Iterable[str], origin: str = "<jsonl>") -> list[Do
             raise DataError(f"{origin}:{lineno}: invalid JSON ({exc.msg})") from None
         if not isinstance(record, dict):
             raise DataError(f"{origin}:{lineno}: record must be a JSON object")
+        yield lineno, record
+
+
+def parse_jsonl_corpus(lines: Iterable[str], origin: str = "<jsonl>") -> list[Document]:
+    """Parse JSONL corpus records; blank lines are skipped."""
+    docs: list[Document] = []
+    seen: set[str] = set()
+    for lineno, record in jsonl_records(lines, origin):
         for field in ("id", "text"):
             if field not in record:
                 raise DataError(f"{origin}:{lineno}: missing required field {field!r}")

@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import parse_jsonl_corpus
+from .corpus import jsonl_records, parse_jsonl_corpus
 from .errors import DataError, read_utf8
-from .hac import Clustering, Dendrogram, cut_at_threshold
+from .hac import Clustering, Dendrogram, check_alpha, cut_at_threshold
 
 ZONES = ("zone1", "zone2", "zone3", "absolute")
 
@@ -71,28 +70,25 @@ class GoldAnnotation:
         reports errors with their line numbers.  The file is read once.
         """
         lines = read_utf8(path).splitlines()
-        first = next((line for line in lines if line.strip()), "")
         try:
-            record = json.loads(first)
-        except json.JSONDecodeError:
-            record = None
-        if isinstance(record, dict) and "gold_sense" in record:
+            _, first = next(jsonl_records(lines, str(path)), (0, {}))
+        except DataError:
+            first = {}
+        if "gold_sense" in first:
             return cls.from_documents(parse_jsonl_corpus(lines, origin=str(path)))
         return cls.from_lines(lines, origin=str(path))
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], origin: str = "<jsonl>") -> "GoldAnnotation":
-        """Parse gold JSONL lines; errors name ``origin:lineno``."""
+        """Parse gold JSONL lines (string ids); errors name ``origin:lineno``."""
         sense_of: dict[str, str] = {}
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{origin}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict) or "id" not in record or "sense" not in record:
+        for lineno, record in jsonl_records(lines, origin):
+            if "id" not in record or "sense" not in record:
                 raise DataError(f"{origin}:{lineno}: expected an object with id and sense")
+            if not isinstance(record["id"], str):
+                raise DataError(f"{origin}:{lineno}: id must be a string")
+            if isinstance(record["sense"], (list, dict)):
+                raise DataError(f"{origin}:{lineno}: sense must not be an array or object")
             if record["id"] in sense_of:
                 raise DataError(f"{origin}:{lineno}: duplicate id {record['id']!r}")
             sense_of[record["id"]] = record["sense"]
@@ -147,8 +143,7 @@ def precision(clustering: Clustering, intruders: set) -> float:
 
 def classify_zone(alpha: float) -> str:
     """Behavior zone of a threshold value (see module docstring)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = check_alpha(alpha)
     if alpha <= 0.70:
         return "zone1"
     if alpha <= 0.85:
@@ -226,6 +221,17 @@ class EvalRow:
     zone: str
 
 
+def score_clustering(clustering: Clustering, total: int, gold: GoldAnnotation) -> EvalRow:
+    """Group count, recall over ``total`` documents, precision and zone."""
+    return EvalRow(
+        alpha=clustering.alpha,
+        num_groups=len(clustering.groups),
+        recall=recall(clustering, total),
+        precision=precision(clustering, identify_intruders(clustering, gold)),
+        zone=classify_zone(clustering.alpha),
+    )
+
+
 def run_sweep(
     tree: Dendrogram,
     total: int,
@@ -240,34 +246,27 @@ def run_sweep(
     which threshold-cut monotonicity guarantees.
     """
     rows: list[EvalRow] = []
-    previous_recall = -1.0
     for exact_alpha in grid.alphas():
-        alpha = float(exact_alpha)
-        clustering = cut_at_threshold(tree, alpha, min_size=min_size)
-        r = recall(clustering, total)
-        p = precision(clustering, identify_intruders(clustering, gold))
-        if r < previous_recall:
-            raise AssertionError(
-                f"recall decreased along the sweep at alpha={alpha}"
-            )
-        previous_recall = r
-        rows.append(
-            EvalRow(
-                alpha=alpha,
-                num_groups=len(clustering.groups),
-                recall=r,
-                precision=p,
-                zone=classify_zone(alpha),
-            )
-        )
+        clustering = cut_at_threshold(tree, float(exact_alpha), min_size=min_size)
+        row = score_clustering(clustering, total, gold)
+        if rows and row.recall < rows[-1].recall:
+            raise AssertionError(f"recall decreased along the sweep at alpha={row.alpha}")
+        rows.append(row)
     return rows
 
 
-def sweep_to_csv(rows: Sequence[EvalRow], path: str | Path | None = None) -> str:
-    """Sweep CSV with header ``alpha,num_groups,precision,recall,zone``.
+def _alpha_text(alpha: float) -> str:
+    # Two decimals when they read back as the same float, else the exact repr,
+    # so a grid finer than hundredths keeps distinct alpha labels.
+    text = f"{alpha:.2f}"
+    return text if float(text) == alpha else repr(alpha)
 
-    Alpha prints with two decimals; metrics with six.  Returns the CSV
-    text and, when ``path`` is given, also writes it there.
+
+def sweep_to_csv(rows: Sequence[EvalRow]) -> str:
+    """Sweep CSV text with header ``alpha,num_groups,precision,recall,zone``.
+
+    Alpha prints with two decimals when that is exact and as its repr
+    otherwise; metrics print with six decimals.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -275,17 +274,14 @@ def sweep_to_csv(rows: Sequence[EvalRow], path: str | Path | None = None) -> str
     for row in rows:
         writer.writerow(
             [
-                f"{row.alpha:.2f}",
+                _alpha_text(row.alpha),
                 row.num_groups,
                 f"{row.precision:.6f}",
                 f"{row.recall:.6f}",
                 row.zone,
             ]
         )
-    text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    return buffer.getvalue()
 
 
 def format_cluster_report(

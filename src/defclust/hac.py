@@ -30,8 +30,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass
-from pathlib import Path
+
 import numpy as np
 
 from .distance import PairwiseDistances
@@ -74,12 +75,11 @@ class Dendrogram:
 
 @dataclass(frozen=True)
 class Clustering:
-    """Threshold-cut partition: groups of >= min_size items plus the rest."""
+    """Threshold-cut partition: groups of items plus the rest."""
 
     alpha: float
     groups: tuple[tuple[int, ...], ...]
     ungrouped: tuple[int, ...]
-    min_size: int = 2
     ids: tuple[str, ...] | None = None
 
     def label(self, item: int):
@@ -100,6 +100,19 @@ class Clustering:
             "groups": self.labeled_groups(),
             "ungrouped": self.labeled_ungrouped(),
         }
+
+
+def check_alpha(alpha) -> float:
+    """``alpha`` as a float, once it is a real number in [0, 1].
+
+    A bool, a string or any other non-real value, NaN, and values outside
+    [0, 1] raise ``ValueError``.
+    """
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return float(alpha)
 
 
 def build_dendrogram(dist: PairwiseDistances) -> Dendrogram:
@@ -155,8 +168,7 @@ def cut_at_threshold(
     alpha = 1.0 every item falls into one absolute group, since all
     distances are at most 1 by construction.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = check_alpha(alpha)
     if min_size < 1:
         raise ValueError(f"min_size must be positive, got {min_size}")
     members: dict[int, list[int]] = {i: [i] for i in range(tree.n)}
@@ -177,7 +189,6 @@ def cut_at_threshold(
         alpha=alpha,
         groups=tuple(groups),
         ungrouped=tuple(sorted(ungrouped)),
-        min_size=min_size,
         ids=tree.ids,
     )
 
@@ -185,16 +196,14 @@ def cut_at_threshold(
 def clustering_from_json_dict(record: dict) -> Clustering:
     """Rebuild a Clustering from its JSON form (labels become items).
 
-    ``alpha`` must lie in [0, 1], ``groups`` must be a list of non-empty
-    lists and ``ungrouped`` a list, and no label may occur twice; anything
-    else raises ``ValueError``.
+    ``alpha`` must pass :func:`check_alpha`, ``groups`` must be a list of
+    non-empty lists and ``ungrouped`` a list, and no label may occur twice;
+    anything else raises ``ValueError``.
     """
     for field in ("alpha", "groups", "ungrouped"):
         if field not in record:
             raise ValueError(f"clustering JSON is missing field {field!r}")
-    alpha = float(record["alpha"])
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = check_alpha(record["alpha"])
     if not isinstance(record["groups"], list) or not all(
         isinstance(group, list) and group for group in record["groups"]
     ):
@@ -217,12 +226,11 @@ def clustering_from_json_dict(record: dict) -> Clustering:
         alpha=alpha,
         groups=tuple(sorted(groups, key=lambda g: g[0])),
         ungrouped=tuple(sorted(position[label] for label in record["ungrouped"])),
-        min_size=min((len(g) for g in groups), default=1),
         ids=tuple(labels),
     )
 
 
-def dendrogram_to_csv(tree: Dendrogram, path: str | Path | None = None) -> str:
+def dendrogram_to_csv(tree: Dendrogram) -> str:
     """Merge-list CSV: one ``left_id,right_id,distance,new_id`` row per merge.
 
     Distances are written with repr so they round-trip exactly.
@@ -232,14 +240,8 @@ def dendrogram_to_csv(tree: Dendrogram, path: str | Path | None = None) -> str:
     writer.writerow(["left_id", "right_id", "distance", "new_id"])
     for merge in tree.merges:
         writer.writerow([merge.left, merge.right, repr(merge.distance), merge.new_id])
-    text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    return buffer.getvalue()
 
 
-def clustering_to_json(clustering: Clustering, path: str | Path | None = None) -> str:
-    text = json.dumps(clustering.to_json_dict(), ensure_ascii=False, indent=2)
-    if path is not None:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-    return text
+def clustering_to_json(clustering: Clustering) -> str:
+    return json.dumps(clustering.to_json_dict(), ensure_ascii=False, indent=2)

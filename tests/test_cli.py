@@ -282,9 +282,11 @@ def test_eval_rejects_non_clustering_json(tmp_path, gold_file, capsys):
         {"alpha": 0.8, "groups": [["a1", "a2"], ["a2", "b1"]], "ungrouped": []},
         {"alpha": 0.8, "groups": [["a1", "a2"]], "ungrouped": ["a2", "b1"]},
         {"alpha": 0.8, "groups": "ab", "ungrouped": []},
+        {"alpha": True, "groups": [["a1", "a2"]], "ungrouped": ["b1"]},
+        {"alpha": "0.5", "groups": [["a1", "a2"]], "ungrouped": ["b1"]},
     ],
     ids=["empty-group", "alpha-5", "label-in-two-groups", "label-grouped-and-ungrouped",
-         "groups-string"],
+         "groups-string", "alpha-true", "alpha-string"],
 )
 @pytest.mark.parametrize("command", ["eval", "report"])
 def test_malformed_clustering_is_a_located_data_error(
@@ -316,6 +318,53 @@ def test_gold_file_is_read_once(
     first = corpus_file if command == "sweep" else clustering_file
     assert main([command, str(first), str(gold_file)]) == 0
     assert reads.count(gold_file) == 1
+
+
+@pytest.mark.parametrize("line", ["not json", "[1, 2]"], ids=["invalid-json", "array"])
+def test_corpus_and_gold_files_report_bad_lines_alike(
+    line, corpus_file, clustering_file, tmp_path, capsys
+):
+    corpus = tmp_path / "bad-corpus.jsonl"
+    corpus.write_text(corpus_file.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    gold = tmp_path / "bad-gold.jsonl"
+    gold.write_text('{"id": "a1", "sense": "s"}\n\n' + line + "\n", encoding="utf-8")
+    assert main(["cluster", str(corpus), "--alpha", "0.5"]) == 2
+    corpus_err = capsys.readouterr().err
+    assert main(["eval", str(clustering_file), str(gold)]) == 2
+    gold_err = capsys.readouterr().err
+    assert corpus_err.startswith(f"error: {corpus}:{len(CORPUS_LINES) + 1}: ")
+    assert gold_err.startswith(f"error: {gold}:3: ")
+    assert corpus_err.split(": ", 2)[2] == gold_err.split(": ", 2)[2]
+
+
+CORPUS_LINE_2 = {"id": "z", "text": "rueda de metal", "gold_sense": "s:metal"}
+NON_STRING_FIELDS = {
+    "corpus-gold-sense-array": ("corpus", {"gold_sense": ["s"]}, lambda bad, f: ["sweep", bad]),
+    "corpus-gold-sense-object": ("corpus", {"gold_sense": {"s": 1}}, lambda bad, f: ["sweep", bad]),
+    "corpus-term-number": (
+        "corpus", {"term": 7}, lambda bad, f: ["cluster", bad, "--alpha", "0.5", "--drop-term"]
+    ),
+    "gold-sense-array": ("gold", {"sense": ["s"]}, lambda bad, f: ["sweep", f["corpus"], bad]),
+    "gold-sense-object": ("gold", {"sense": {"s": 1}}, lambda bad, f: ["eval", f["groups"], bad]),
+    "gold-id-array": ("gold", {"id": ["a2"]}, lambda bad, f: ["eval", f["groups"], bad]),
+}
+
+
+@pytest.mark.parametrize("case", NON_STRING_FIELDS)
+def test_non_string_fields_are_located_data_errors(
+    case, corpus_file, clustering_file, tmp_path, capsys
+):
+    role, field, argv = NON_STRING_FIELDS[case]
+    if role == "corpus":
+        records = [CORPUS_LINES[0], {**CORPUS_LINE_2, **field}, *CORPUS_LINES[1:]]
+    else:
+        records = [{"id": rec["id"], "sense": rec["gold_sense"]} for rec in CORPUS_LINES]
+        records[1] = {**records[1], **field}
+    bad = tmp_path / f"{role}.jsonl"
+    bad.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    files = {"corpus": str(corpus_file), "groups": str(clustering_file)}
+    assert main(argv(str(bad), files)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
 
 
 # ---------------------------------------------------------------- report

@@ -16,6 +16,7 @@ from defclust import (
     GoldAnnotation,
     SweepGrid,
     classify_zone,
+    cut_at_threshold,
     format_cluster_report,
     identify_intruders,
     precision,
@@ -23,7 +24,7 @@ from defclust import (
     run_sweep,
     sweep_to_csv,
 )
-from defclust.evaluation import DEFAULT_GRID, SWEEP_CSV_HEADER, ZONE_NOTE
+from defclust.evaluation import DEFAULT_GRID, SWEEP_CSV_HEADER, ZONE_NOTE, score_clustering
 
 
 def clustering_of(groups, ungrouped, alpha=0.5, ids=None):
@@ -273,6 +274,14 @@ def test_sweep_over_bundled_corpus(synthetic_sweep):
     assert recalls == sorted(recalls)
 
 
+def test_score_clustering_matches_the_sweep_row(
+    synthetic_tree, synthetic_docs, synthetic_senses, synthetic_sweep
+):
+    row = synthetic_sweep[79]
+    clustering = cut_at_threshold(synthetic_tree, row.alpha)
+    assert score_clustering(clustering, len(synthetic_docs), synthetic_senses) == row
+
+
 def test_sweep_precision_trends_down_in_rank_terms(synthetic_sweep):
     rows = synthetic_sweep
     rho, _ = stats.spearmanr([r.alpha for r in rows], [r.precision for r in rows])
@@ -310,13 +319,21 @@ def test_sweep_csv_shape_and_formatting():
     assert lines[2] == "1.00,1,0.333333,1.000000,absolute"
 
 
-def test_sweep_csv_writes_file(tmp_path):
+def test_sweep_csv_parses_back():
     rows = [EvalRow(alpha=0.5, num_groups=2, recall=0.25, precision=1.0, zone="zone1")]
-    path = tmp_path / "sweep.csv"
-    text = sweep_to_csv(rows, path)
-    assert path.read_text(encoding="utf-8") == text
-    parsed = list(csv.reader(io.StringIO(text)))
-    assert parsed[0] == list(SWEEP_CSV_HEADER)
+    parsed = list(csv.reader(io.StringIO(sweep_to_csv(rows))))
+    assert parsed == [list(SWEEP_CSV_HEADER), ["0.50", "2", "1.000000", "0.250000", "zone1"]]
+
+
+def test_sweep_csv_keeps_fine_grid_alphas_apart():
+    grid = SweepGrid("0.001", "0.01", "0.001")
+    rows = [
+        EvalRow(alpha=float(a), num_groups=0, recall=0.0, precision=0.0, zone="zone1")
+        for a in grid.alphas()
+    ]
+    alphas = [line.split(",")[0] for line in sweep_to_csv(rows).splitlines()[1:]]
+    assert alphas == [f"0.00{k}" for k in range(1, 10)] + ["0.01"]
+    assert [float(a) for a in alphas] == [row.alpha for row in rows]
 
 
 def test_report_shows_senses_intruders_and_note():

@@ -10,6 +10,7 @@ dendrogram once and cuts it, so agreement here is the point of the test.
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from defclust import (
     clustering_to_json,
     cut_at_threshold,
 )
-from defclust.hac import dendrogram_to_csv
+from defclust.hac import check_alpha, dendrogram_to_csv
 
 
 def naive_stop_early(square, alpha, min_size):
@@ -300,25 +301,16 @@ def test_clustering_json_round_trip():
     assert back.alpha == cut.alpha
 
 
-def test_clustering_json_writes_file(tmp_path):
-    cut = Clustering(alpha=0.4, groups=((0, 1),), ungrouped=(), ids=("a", "b"))
-    path = tmp_path / "out.json"
-    text = clustering_to_json(cut, path)
-    assert path.read_text(encoding="utf-8") == text + "\n"
-
-
 def test_clustering_from_json_requires_fields():
     with pytest.raises(ValueError, match="ungrouped"):
         clustering_from_json_dict({"alpha": 0.5, "groups": []})
 
 
-def test_dendrogram_csv_lists_merges(tmp_path):
+def test_dendrogram_csv_lists_merges():
     tree = build_dendrogram(
         PairwiseDistances([[0.0, 0.25, 0.5], [0.25, 0.0, 0.75], [0.5, 0.75, 0.0]])
     )
-    path = tmp_path / "tree.csv"
-    text = dendrogram_to_csv(tree, path)
-    assert path.read_text(encoding="utf-8") == text
+    text = dendrogram_to_csv(tree)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["left_id", "right_id", "distance", "new_id"]
     assert len(rows) == 1 + len(tree.merges)
@@ -330,3 +322,26 @@ def test_clustering_labels_fall_back_to_indices():
     assert cut.labeled_groups() == [[0, 1]]
     assert cut.labeled_ungrouped() == [2]
     assert cut.grouped_count() == 2
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (True, "real number"),
+        ("0.5", "real number"),
+        (None, "real number"),
+        (float("nan"), r"\[0, 1\]"),
+        (1.0000001, r"\[0, 1\]"),
+        (-0.01, r"\[0, 1\]"),
+    ],
+)
+def test_check_alpha_rejects(alpha, message):
+    with pytest.raises(ValueError, match=message):
+        check_alpha(alpha)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, np.float64(0.25), Fraction(1, 3)])
+def test_check_alpha_accepts_real_numbers_in_range(alpha):
+    value = check_alpha(alpha)
+    assert type(value) is float
+    assert value == float(alpha)

@@ -53,3 +53,24 @@ def test_bundled_corpus_output_bytes_are_pinned(setting, tmp_path, capsys):
         ["cluster", corpus, "--alpha", "0.5", *stopwords, *flags, "-o", str(cluster_json)]
     ) == 0
     assert (_sha256(sweep_csv), _sha256(cluster_json)) == PINNED[setting]
+
+
+EVAL_LINE = (
+    '{"alpha": 0.8, "num_groups": 15, "precision": 1.0, '
+    '"recall": 0.7833333333333333, "zone": "zone2"}\n'
+)
+REPORT_SHA256 = "6b836a1435c392e149d09b6cdf2ffa13ca2b955277f5e73eeadf6988db58b17d"
+
+
+def test_eval_and_report_bytes_are_pinned(tmp_path):
+    data = resources.files("defclust.data")
+    corpus = str(data / "synthetic_definitions.jsonl")
+    stopwords = ["--stopwords", str(data / "spanish_stopwords.txt")]
+    groups = tmp_path / "groups.json"
+    evaluation = tmp_path / "eval.json"
+    report = tmp_path / "report.txt"
+    assert main(["cluster", corpus, "--alpha", "0.8", *stopwords, "-o", str(groups)]) == 0
+    assert main(["eval", str(groups), corpus, "-o", str(evaluation)]) == 0
+    assert main(["report", str(groups), corpus, "--gold", corpus, "-o", str(report)]) == 0
+    assert evaluation.read_text(encoding="utf-8") == EVAL_LINE
+    assert _sha256(report) == REPORT_SHA256
