@@ -284,9 +284,10 @@ def test_eval_rejects_non_clustering_json(tmp_path, gold_file, capsys):
         {"alpha": 0.8, "groups": "ab", "ungrouped": []},
         {"alpha": True, "groups": [["a1", "a2"]], "ungrouped": ["b1"]},
         {"alpha": "0.5", "groups": [["a1", "a2"]], "ungrouped": ["b1"]},
+        {"alpha": 0.5, "groups": [], "ungrouped": []},
     ],
     ids=["empty-group", "alpha-5", "label-in-two-groups", "label-grouped-and-ungrouped",
-         "groups-string", "alpha-true", "alpha-string"],
+         "groups-string", "alpha-true", "alpha-string", "no-documents"],
 )
 @pytest.mark.parametrize("command", ["eval", "report"])
 def test_malformed_clustering_is_a_located_data_error(

@@ -1,15 +1,21 @@
-"""Complete-linkage clustering against a naive reference implementation.
+"""Complete-linkage clustering against two reference implementations.
 
-The reference below re-derives everything from the raw pair distances:
+``naive_stop_early`` re-derives everything from the raw pair distances:
 group distances are recomputed as maxima over original pairs each round
 (no distance-update shortcut), and the loop stops outright at the first
 minimal distance above the threshold.  The library instead builds the
 dendrogram once and cuts it, so agreement here is the point of the test.
+
+``argmin_dendrogram`` is the plain O(n^3) loop, one row-major argmin over
+the whole active square per merge.  It is fast enough for squares of a
+few hundred items and is the reference for the library's cached
+nearest-neighbour loop, whose merge list must be identical, ties included.
 """
 
 import csv
 import io
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,12 +26,16 @@ from scipy.cluster.hierarchy import linkage
 from defclust import (
     Clustering,
     Dendrogram,
+    Document,
     Merge,
     PairwiseDistances,
     build_dendrogram,
+    build_matrix,
     clustering_from_json_dict,
     clustering_to_json,
     cut_at_threshold,
+    energy_distance_vector,
+    energy_matrix,
 )
 from defclust.hac import check_alpha, dendrogram_to_csv
 
@@ -67,6 +77,43 @@ def naive_stop_early(square, alpha, min_size):
     groups = sorted(tuple(sorted(c)) for c in clusters if len(c) >= min_size)
     ungrouped = tuple(sorted(i for c in clusters if len(c) < min_size for i in c))
     return tuple(groups), ungrouped, merges
+
+
+def argmin_dendrogram(square):
+    """Merges as ``(left, right, distance, new_id)``, one full argmin each.
+
+    Each merge takes the first minimum of the active square in row-major
+    order, then max-updates the kept row and column and retires the other
+    slot to inf.
+    """
+    d = np.array(square, dtype=np.float64)
+    n = len(d)
+    np.fill_diagonal(d, np.inf)
+    cluster_id = list(range(n))
+    merges = []
+    for new_id in range(n, 2 * n - 1):
+        a, b = divmod(int(d.argmin()), n)
+        merges.append((cluster_id[a], cluster_id[b], float(d[a, b]), new_id))
+        merged_row = np.maximum(d[a], d[b])
+        d[a, :] = merged_row
+        d[:, a] = merged_row
+        d[b, :] = np.inf
+        d[:, b] = np.inf
+        cluster_id[a] = new_id
+    return merges
+
+
+def merge_tuples(tree):
+    return [(m.left, m.right, m.distance, m.new_id) for m in tree.merges]
+
+
+def symmetric(n, upper):
+    """Square with the given ``{(i, j): distance}`` above the diagonal, else 1."""
+    square = np.ones((n, n))
+    np.fill_diagonal(square, 0.0)
+    for (i, j), value in upper.items():
+        square[i, j] = square[j, i] = value
+    return square
 
 
 def random_square(rng, n, discrete=False):
@@ -148,7 +195,101 @@ def tie_heavy_squares(draw):
 def test_merge_list_matches_naive_reference_under_ties(square):
     tree = build_dendrogram(PairwiseDistances(square))
     _, _, merges = naive_stop_early(square.tolist(), np.inf, 1)
-    assert [(m.left, m.right, m.distance, m.new_id) for m in tree.merges] == merges
+    assert merge_tuples(tree) == merges
+    assert argmin_dendrogram(square) == merges
+
+
+@st.composite
+def larger_tie_heavy_squares(draw):
+    """k/q squares up to n=60, often with items copied from a few prototypes.
+
+    Copies sit at distance 0 from each other and at equal distances from
+    everything else, as duplicate documents do, so merged rows often tie
+    the neighbours they had before the merge.
+    """
+    n = draw(st.integers(2, 60))
+    q = draw(st.integers(1, 4))
+    prototypes = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = np.zeros((prototypes, prototypes))
+    base[np.triu_indices(prototypes, k=1)] = (
+        rng.integers(0, q + 1, size=prototypes * (prototypes - 1) // 2) / q
+    )
+    base += base.T
+    of = rng.integers(0, prototypes, size=n) if prototypes < n else np.arange(n)
+    return base[np.ix_(of, of)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_tie_heavy_squares())
+def test_merge_list_matches_argmin_oracle_under_ties(square):
+    tree = build_dendrogram(PairwiseDistances(square))
+    assert merge_tuples(tree) == argmin_dendrogram(square)
+
+
+ALL_EQUAL = np.full((9, 9), 0.5) - 0.5 * np.eye(9)
+ZERO_ONE = symmetric(
+    12, {(i, j): float((i * 7 + j * 3) % 4 == 0) for i in range(12) for j in range(i + 1, 12)}
+)
+# Row 0 caches column 2 at 0.3; merging 2 and 3 gives d[0, 2] = max(0.3,
+# 0.3), the same value, so the cache stays exact.  Row 1 caches column 3,
+# which the merge retires, so row 1 must be rescanned.
+TIED_OLD_NEIGHBOUR = symmetric(
+    6,
+    {(0, 1): 0.7, (0, 2): 0.3, (0, 3): 0.3, (0, 4): 0.3, (1, 2): 0.6, (1, 3): 0.4,
+     (2, 3): 0.1, (2, 4): 0.5, (3, 4): 0.5, (4, 5): 0.2},
+)
+# Row 0 caches column 1 at 0.2; merging 1 and 2 raises d[0, 1] to 0.9
+# without retiring column 1, and the rescan must find column 3 at 0.25.
+RAISED_NEIGHBOUR = symmetric(
+    5,
+    {(0, 1): 0.2, (0, 2): 0.9, (0, 3): 0.25, (0, 4): 0.7, (1, 2): 0.1,
+     (1, 3): 0.6, (1, 4): 0.6, (2, 3): 0.6, (2, 4): 0.6, (3, 4): 0.5},
+)
+
+
+@pytest.mark.parametrize(
+    "square, expected",
+    [
+        (ALL_EQUAL, [(0, 1, 0.5, 9)] + [(k + 7, k, 0.5, k + 8) for k in range(2, 9)]),
+        (ZERO_ONE, None),
+        (TIED_OLD_NEIGHBOUR, [(2, 3, 0.1, 6), (4, 5, 0.2, 7), (0, 6, 0.3, 8),
+                              (8, 1, 0.7, 9), (9, 7, 1.0, 10)]),
+        (RAISED_NEIGHBOUR, [(1, 2, 0.1, 5), (0, 3, 0.25, 6), (5, 4, 0.6, 7),
+                            (6, 7, 0.9, 8)]),
+        (symmetric(2, {(0, 1): 0.0}), [(0, 1, 0.0, 2)]),
+        (symmetric(3, {(0, 2): 0.4, (1, 2): 0.4}), [(0, 2, 0.4, 3), (3, 1, 1.0, 4)]),
+    ],
+    ids=["all-equal", "zero-one", "tied-old-neighbour", "raised-neighbour", "n2", "n3"],
+)
+def test_named_squares_match_argmin_oracle(square, expected):
+    merges = merge_tuples(build_dendrogram(PairwiseDistances(square)))
+    assert merges == argmin_dendrogram(square)
+    if expected is not None:
+        assert merges == expected
+
+
+def test_topics_corpus_merge_list_matches_argmin_oracle():
+    rng = random.Random(2030)
+    topics = [[f"w{t:02d}{k:02d}" for k in range(25)] for t in range(20)]
+    shared = [f"g{k:02d}" for k in range(30)]
+    docs = [
+        Document(
+            id=f"doc{j:04d}",
+            text=" ".join(rng.sample(topics[j % 20], rng.randint(5, 9)) + rng.sample(shared, 3)),
+        )
+        for j in range(400)
+    ]
+    dist = energy_distance_vector(energy_matrix(build_matrix(docs)))
+    assert merge_tuples(build_dendrogram(dist)) == argmin_dendrogram(dist.square)
+
+
+def test_build_dendrogram_leaves_the_input_square_untouched():
+    dist = PairwiseDistances(random_square(np.random.default_rng(71), 30, discrete=True))
+    before = dist.square.tobytes()
+    build_dendrogram(dist)
+    assert dist.square.tobytes() == before
+    assert not dist.square.diagonal().any()
 
 
 def test_merge_heights_match_scipy_without_ties():
