@@ -10,7 +10,8 @@ Subcommands:
 
 Exit status: 0 on success, 1 on usage errors, 2 on data errors (bad
 input files, malformed records).  Output files are written atomically
-(temp file, then rename) and default to stdout.
+(temp file, then rename) and default to stdout; a new file gets the mode
+the umask allows, an overwritten one keeps its mode.
 """
 
 from __future__ import annotations
@@ -197,6 +198,13 @@ def _write_output(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = Path(path)
+    try:
+        mode = os.stat(target).st_mode & 0o7777
+    except FileNotFoundError:
+        # mkstemp creates 0600; a new file gets what open() would give it
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(
         dir=str(target.parent) if str(target.parent) else ".",
         prefix=f".{target.name}.",
@@ -204,6 +212,7 @@ def _write_output(path: str | None, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, target)
     except BaseException:
         try:

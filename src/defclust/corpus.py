@@ -40,7 +40,8 @@ class Document:
     ``term`` is the word the text defines, ``def_type`` one of
     ``analytic``/``extensional``/``functional``, ``gold_sense`` an
     acception label used only for evaluation.  ``term`` is a string and
-    ``gold_sense`` is not a list or dict.
+    ``gold_sense`` is not a list, a dict or NaN (a sense must equal itself
+    to be voted on).
     """
 
     id: str
@@ -58,6 +59,8 @@ class Document:
             raise DataError(f"document {self.id!r}: term must be a string")
         if isinstance(self.gold_sense, (list, dict)):
             raise DataError(f"document {self.id!r}: gold_sense must not be an array or object")
+        if self.gold_sense != self.gold_sense:
+            raise DataError(f"document {self.id!r}: gold_sense must not be NaN")
         if self.def_type is not None and self.def_type not in DEF_TYPES:
             raise DataError(
                 f"document {self.id!r}: def_type must be one of {DEF_TYPES}, "

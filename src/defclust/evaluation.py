@@ -9,7 +9,12 @@ mechanical, so combining them would blur the results.
 
 Intruder identification mechanizes the human reading it replaces: within
 each group the majority gold-sense label is the group's sense, and every
-member carrying a different label is an intruder.
+member carrying a different label is an intruder.  A group therefore has
+``size - top`` intruders, where ``top`` is its largest sense count: any
+label that wins, under any tie rule, is carried by ``top`` members.  The
+tie rule only decides which members a report marks, and the sweep scores
+every threshold from per-cluster sense counts alone.  A gold sense must
+equal itself to be counted, so NaN is rejected on load.
 
 The alpha axis divides into behavior zones.  The published bounds
 overlap at 0.85 and leave (0.70, 0.75) unassigned, so classification
@@ -89,6 +94,8 @@ class GoldAnnotation:
                 raise DataError(f"{origin}:{lineno}: id must be a string")
             if isinstance(record["sense"], (list, dict)):
                 raise DataError(f"{origin}:{lineno}: sense must not be an array or object")
+            if record["sense"] != record["sense"]:
+                raise DataError(f"{origin}:{lineno}: sense must not be NaN")
             if record["id"] in sense_of:
                 raise DataError(f"{origin}:{lineno}: duplicate id {record['id']!r}")
             sense_of[record["id"]] = record["sense"]
@@ -97,9 +104,13 @@ class GoldAnnotation:
 
 def recall(clustering: Clustering, total: int) -> float:
     """Grouped documents / total documents; 0 when nothing is grouped."""
+    return _ratio_of_total(clustering.grouped_count(), total)
+
+
+def _ratio_of_total(grouped: int, total: int) -> float:
     if total < 1:
         raise ValueError("total document count must be at least 1")
-    return clustering.grouped_count() / total
+    return grouped / total
 
 
 def _majority_sense(group: Sequence, gold: GoldAnnotation):
@@ -241,14 +252,71 @@ def run_sweep(
 ) -> list[EvalRow]:
     """One EvalRow per grid point (the default grid yields 100 rows).
 
-    Each row cuts the shared dendrogram at its alpha and scores the
-    partition.  Recall is checked to be non-decreasing along the sweep,
-    which threshold-cut monotonicity guarantees.
+    Each row is what ``score_clustering`` gives for ``cut_at_threshold``
+    at its alpha, but no cut is built: the merges are replayed once along
+    the rising grid.  Every live cluster keeps its size, its count per
+    gold sense (the smaller counter is merged into the larger) and its top
+    count.  Running totals over the clusters of at least ``min_size``
+    members give the group count, the grouped size and the sum of top
+    counts, so precision is ``sum(top) / grouped``, exact under any tie
+    rule (see the module docstring).  At the first grid point where a
+    group holds a document without a gold sense, that one cut is built
+    and scored, which raises the ``DataError`` naming the document.
+    Recall is checked to be non-decreasing along the sweep, which
+    threshold-cut monotonicity guarantees.
     """
+    if min_size < 1:
+        raise ValueError(f"min_size must be positive, got {min_size}")
+    labels = tree.ids if tree.ids is not None else range(tree.n)
+    # cluster id -> (size, top count, members without a gold sense,
+    # members per gold sense)
+    clusters = {
+        item: (1, 1, 0, {gold.sense_of[label]: 1}) if label in gold.sense_of else (1, 0, 1, {})
+        for item, label in enumerate(labels)
+    }
+    # Clusters that left (-1) or joined (+1) the partition since the
+    # totals were last brought up to date; the leaves join first.
+    changed = [(1, cluster) for cluster in clusters.values()]
+    groups = grouped = majority = unlabelled_groups = 0
+    merges = tree.merges
+    replayed = 0
     rows: list[EvalRow] = []
     for exact_alpha in grid.alphas():
-        clustering = cut_at_threshold(tree, float(exact_alpha), min_size=min_size)
-        row = score_clustering(clustering, total, gold)
+        alpha = check_alpha(float(exact_alpha))
+        while replayed < len(merges) and merges[replayed].distance <= alpha:
+            merge = merges[replayed]
+            replayed += 1
+            left = clusters.pop(merge.left)
+            right = clusters.pop(merge.right)
+            if len(left[3]) < len(right[3]):
+                left, right = right, left
+            size, top, unlabelled, counts = left
+            for sense, count in right[3].items():
+                count += counts.get(sense, 0)
+                counts[sense] = count
+                if count > top:
+                    top = count
+            merged = (size + right[0], top, unlabelled + right[2], counts)
+            clusters[merge.new_id] = merged
+            changed += ((-1, left), (-1, right), (1, merged))
+        for sign, (size, top, unlabelled, _) in changed:
+            if size >= min_size:
+                groups += sign
+                grouped += sign * size
+                majority += sign * top
+                unlabelled_groups += sign * (unlabelled > 0)
+        changed.clear()
+        recall_now = _ratio_of_total(grouped, total)
+        if unlabelled_groups:
+            # Scoring this cut raises the DataError naming the document.
+            identify_intruders(cut_at_threshold(tree, alpha, min_size=min_size), gold)
+        row = EvalRow(
+            alpha=alpha,
+            num_groups=groups,
+            recall=recall_now,
+            precision=majority / grouped if grouped else 0.0,
+            zone=classify_zone(alpha),
+        )
         if rows and row.recall < rows[-1].recall:
             raise AssertionError(f"recall decreased along the sweep at alpha={row.alpha}")
         rows.append(row)

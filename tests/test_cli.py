@@ -1,6 +1,8 @@
 """End-to-end runs of every subcommand through cli.main()."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 from importlib import resources
@@ -83,6 +85,22 @@ def test_cluster_writes_file_without_leftovers(corpus_file, tmp_path, capsys):
     # atomic write leaves no temp droppings behind
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
     assert leftovers == []
+
+
+def test_output_file_modes_follow_the_umask_or_the_old_file(corpus_file, tmp_path, capsys):
+    fresh = tmp_path / "fresh.json"
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n", encoding="utf-8")
+    kept.chmod(0o640)
+    old_umask = os.umask(0o022)
+    try:
+        for out in (fresh, kept):
+            assert main(["cluster", str(corpus_file), "--alpha", "0.5", "-o", str(out)]) == 0
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert json.loads(kept.read_text(encoding="utf-8"))["alpha"] == 0.5
 
 
 def test_cluster_min_size_moves_small_groups_out(corpus_file, capsys):
@@ -187,6 +205,27 @@ def test_sweep_gold_defaults_to_corpus_labels(tmp_path, capsys):
     assert main(["sweep", str(corpus), str(gold), "-o", str(with_gold)]) == 0
     assert main(["sweep", str(corpus), "-o", str(without_gold)]) == 0
     assert with_gold.read_bytes() == without_gold.read_bytes()
+
+
+def test_sweep_names_the_first_grouped_document_without_gold(tmp_path, capsys):
+    # celula-biologia-10 comes first in the gold file, but
+    # punto-costura-07 joins a group at a lower alpha
+    dropped = {"celula-biologia-10", "punto-costura-07"}
+    lines = bundled("synthetic_gold.jsonl").read_text(encoding="utf-8").splitlines()
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(
+        "".join(line + "\n" for line in lines if json.loads(line)["id"] not in dropped),
+        encoding="utf-8",
+    )
+    out = tmp_path / "sweep.csv"
+    corpus = bundled("synthetic_definitions.jsonl")
+    stopwords = bundled("spanish_stopwords.txt")
+    argv = ["sweep", str(corpus), str(gold), "--stopwords", str(stopwords), "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: no gold sense for grouped document 'punto-costura-07'\n"
+    )
+    assert not out.exists()
 
 
 def test_sweep_hamming_shares_the_csv_schema(corpus_file, tmp_path, capsys):
@@ -348,6 +387,8 @@ NON_STRING_FIELDS = {
     "gold-sense-array": ("gold", {"sense": ["s"]}, lambda bad, f: ["sweep", f["corpus"], bad]),
     "gold-sense-object": ("gold", {"sense": {"s": 1}}, lambda bad, f: ["eval", f["groups"], bad]),
     "gold-id-array": ("gold", {"id": ["a2"]}, lambda bad, f: ["eval", f["groups"], bad]),
+    "corpus-gold-sense-nan": ("corpus", {"gold_sense": float("nan")}, lambda bad, f: ["sweep", bad]),
+    "gold-sense-nan": ("gold", {"sense": float("nan")}, lambda bad, f: ["sweep", f["corpus"], bad]),
 }
 
 

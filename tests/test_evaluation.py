@@ -6,14 +6,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from defclust import (
     Clustering,
     DataError,
+    Dendrogram,
     Document,
     EvalRow,
     GoldAnnotation,
+    Merge,
     SweepGrid,
     classify_zone,
     cut_at_threshold,
@@ -303,6 +306,93 @@ def test_sweep_respects_custom_grid(synthetic_tree, synthetic_docs, synthetic_se
     )
     assert len(rows) == 1
     assert rows[0].alpha == 0.5
+
+
+# ---------------------------------------------------------------- sweep oracle
+
+def cut_and_score_sweep(tree, total, gold, grid=DEFAULT_GRID, min_size=2):
+    """The sweep as one cut and one score per grid point, the definition
+    that run_sweep's single replay of the merges must reproduce."""
+    rows = []
+    for exact_alpha in grid.alphas():
+        clustering = cut_at_threshold(tree, float(exact_alpha), min_size=min_size)
+        row = score_clustering(clustering, total, gold)
+        if rows and row.recall < rows[-1].recall:
+            raise AssertionError(f"recall decreased along the sweep at alpha={row.alpha}")
+        rows.append(row)
+    return rows
+
+
+def sweep_outcome(sweep, *args):
+    """The rows (compared float for float), or the DataError's type and text."""
+    try:
+        return sweep(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Random merge trees whose heights sit on grid points, with few senses.
+
+    Heights come from a handful of the grid's own alphas (plus 0, 1 and one
+    value off the grid), so many merges share a height and many sit exactly
+    on a threshold; two or three senses make tied majorities common.
+    """
+    unit = draw(st.sampled_from([100, 1000]))
+    start = draw(st.integers(1, unit))
+    end = draw(st.integers(start, unit))
+    step = draw(st.integers(1, max(1, (end - start) // 3 + 1)))
+    grid = SweepGrid(Fraction(start, unit), Fraction(end, unit), Fraction(step, unit))
+    alphas = [float(a) for a in grid.alphas()]
+    levels = draw(st.lists(st.sampled_from(alphas + [0.0, 1.0, 0.4321]), min_size=1, max_size=4))
+    n = draw(st.integers(2, 24))
+    heights = sorted(draw(st.lists(st.sampled_from(levels), min_size=n - 1, max_size=n - 1)))
+    live = [(i, i) for i in range(n)]  # (cluster id, smallest member)
+    merges = []
+    for k, height in enumerate(heights):
+        i = draw(st.integers(0, len(live) - 1))
+        first = live.pop(i)
+        second = live.pop(draw(st.integers(0, len(live) - 1)))
+        left, right = sorted((first, second), key=lambda c: c[1])
+        merges.append(Merge(left=left[0], right=right[0], distance=height, new_id=n + k))
+        live.append((n + k, left[1]))
+    ids = None
+    if draw(st.booleans()):
+        ids = tuple(draw(st.permutations([f"doc{i:02d}" for i in range(n)])))
+    tree = Dendrogram(n=n, merges=tuple(merges), ids=ids)
+    senses = draw(st.lists(st.sampled_from(["s1", "s2", "s3"][: draw(st.integers(1, 3))]),
+                           min_size=n, max_size=n))
+    unlabelled = draw(st.frozensets(st.integers(0, n - 1), max_size=3))
+    labels = ids if ids is not None else range(n)
+    gold = GoldAnnotation(
+        {label: sense for item, (label, sense) in enumerate(zip(labels, senses))
+         if item not in unlabelled}
+    )
+    return tree, gold, grid, draw(st.integers(1, 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sweep_cases())
+def test_run_sweep_matches_cut_and_score_oracle(case):
+    tree, gold, grid, min_size = case
+    args = (tree, tree.n, gold, grid, min_size)
+    assert sweep_outcome(run_sweep, *args) == sweep_outcome(cut_and_score_sweep, *args)
+
+
+@pytest.mark.parametrize("min_size", [1, 2, 3, 4])
+def test_run_sweep_matches_cut_and_score_oracle_on_bundled_corpus(
+    min_size, synthetic_tree, synthetic_docs, synthetic_senses
+):
+    args = (synthetic_tree, len(synthetic_docs), synthetic_senses, DEFAULT_GRID, min_size)
+    assert run_sweep(*args) == cut_and_score_sweep(*args)
+
+
+def test_run_sweep_keeps_its_argument_errors(synthetic_tree, synthetic_senses):
+    with pytest.raises(ValueError, match="min_size must be positive"):
+        run_sweep(synthetic_tree, 120, synthetic_senses, min_size=0)
+    with pytest.raises(ValueError, match="total document count"):
+        run_sweep(synthetic_tree, 0, synthetic_senses)
 
 
 # ---------------------------------------------------------------- output
