@@ -11,19 +11,25 @@ i.e. a matrix product, not an elementwise square.  Documents therefore
 interact both directly (shared vocabulary) and through every third
 document that shares vocabulary with both.
 
-Both products run in float64, so numpy hands them to BLAS, and the result
-is cast to an int64 ``gram_sq``.  This is exact integer arithmetic: every
-cell is 0 or 1, so every product term is a non-negative integer, and any
-partial sum, in any blocking, thread split or FMA order, is a sum of a
-subset of an entry's terms and so at most that entry.  While every entry
-is below 2^53 (``EXACT_INT_LIMIT``) every intermediate is an exactly
-representable integer and the result equals the int64 product bit for
-bit.  Rounding is monotone, so a computed maximum below 2^53 also proves
-that no entry reached it; at or above the limit ``DataError`` is raised.
-Reaching it takes n * t_max^2 >= 2^53, with t_max the largest number of
-distinct terms in one document: for instance 10,000 documents of about
-950,000 terms each, far beyond any n x n matrix that fits in memory.  The
-1/2 factor and the max-normalization move to floating point only at the
+The product runs in float64, so numpy hands it to BLAS, and the result
+is cast to an int64 ``gram_sq``.  With p terms, the order is the one of
+fewer multiply-adds: X (X^T X) X^T takes 2 n p^2 + n^2 p and
+(X X^T)(X X^T) takes n^2 p + n^3, so the first is taken when
+2 p^2 < n^2.  This is exact integer
+arithmetic: every cell is 0 or 1, so every product term is a non-negative
+integer, and any partial sum, in any blocking, thread split or FMA order,
+is a sum of a subset of an entry's terms and so at most that entry.  The
+intermediate entries are bounded by the result too: (X^T X)_kl <= n, and
+(X X^T X)_ik = sum_m G_im X_mk is at most sum_m G_im^2, the diagonal
+entry gram_sq[i, i].  While every entry is below 2^53
+(``EXACT_INT_LIMIT``) every intermediate is an exactly representable
+integer and the result equals the int64 product bit for bit.  Rounding
+is monotone, so a computed maximum below 2^53 also proves that no entry
+reached it; at or above the limit ``DataError`` is raised.  Reaching it
+takes n * t_max^2 >= 2^53, with t_max the largest number of distinct
+terms in one document: for instance 10,000 documents of about 950,000
+terms each, far beyond any n x n matrix that fits in memory.  The 1/2
+factor and the max-normalization move to floating point only at the
 distance step (halving and a single division of integers below 2^53 are
 exact/correctly rounded, so results are deterministic).
 
@@ -33,6 +39,19 @@ which is what a distance-threshold clustering needs; ``raw`` keeps the
 normalized value itself for literal replication.  The energy distance is
 not assumed to be a metric (no triangle inequality); complete-linkage
 clustering does not need one.
+
+Pair distances are stored as rank codes.  Complete linkage only compares
+distances and takes their maxima, so any strictly increasing relabelling
+of them gives the same merges.  ``levels`` lists the distinct float64
+distances in increasing order, and ``codes`` holds, for every pair, the
+index of its distance in ``levels``: 2 bytes a pair instead of 8.  Both
+distance kinds come from integers q (energies, or counts of differing
+positions) through one float division, so the levels are the floats
+that the distinct integers give, and two integers whose floats round to
+the same value share a code.  The distinct integers come from a table
+over 0..max(q) when it has at most n^2 entries, and from sorting the
+upper triangle otherwise.  The float square is built only when asked
+for.
 """
 
 from __future__ import annotations
@@ -51,6 +70,10 @@ DISTANCE_MODES = ("inverted", "raw")
 EXACT_INT_LIMIT = 2**53
 """Energies must stay below this: float64 holds every smaller integer exactly."""
 
+_BLOCK_ROWS = 32
+"""Rows of an n x n square handled at a time: a band and its transpose
+stay in cache, and no whole-square temporary is made."""
+
 
 def _check_energy_limit(peak, n: int) -> None:
     if peak >= EXACT_INT_LIMIT:
@@ -58,6 +81,19 @@ def _check_energy_limit(peak, n: int) -> None:
             f"second-order energy {int(peak)} for n={n} documents reaches the "
             f"exact-integer limit 2^53 = {EXACT_INT_LIMIT}"
         )
+
+
+def _is_symmetric(square: np.ndarray) -> bool:
+    """``square == square.T``, compared one band of rows at a time.
+
+    Each band meets the matching band of columns, which stays in cache,
+    where a whole transposed read would miss it on every element.
+    """
+    n = square.shape[0]
+    return all(
+        np.array_equal(square[i : i + _BLOCK_ROWS, i:], square[i:, i : i + _BLOCK_ROWS].T)
+        for i in range(0, n, _BLOCK_ROWS)
+    )
 
 
 def _as_binary_array(matrix) -> tuple[np.ndarray, tuple[str, ...] | None]:
@@ -92,7 +128,7 @@ class EnergyMatrix:
         q = self.gram_sq
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("energy matrix must be square")
-        if not np.array_equal(q, q.T):
+        if not _is_symmetric(q):
             raise ValueError("energy matrix must be symmetric")
         if q.size and int(q.min()) < 0:
             raise ValueError("energy magnitudes must be non-negative")
@@ -111,21 +147,59 @@ class EnergyMatrix:
         return self.gram_sq / 2.0
 
 
+def _code_dtype(n_levels: int):
+    """uint16 while the codes and one sentinel above them fit, else uint32."""
+    return np.uint16 if n_levels < 2**16 else np.uint32
+
+
 @dataclass(frozen=True)
 class PairwiseDistances:
-    """Symmetric n x n distances in [0, 1] with a zero diagonal, as float64.
+    """Symmetric n x n distances in [0, 1] with a zero diagonal, as rank codes.
 
-    ``square`` is the only stored pair layout.  ``values`` is the condensed
-    (SciPy) view: the upper triangle flattened row-major, (0,1), (0,2), ...,
-    (0,n-1), (1,2), ..., (n-2,n-1).
+    ``levels`` holds the distinct float64 distances in increasing order,
+    starting with the 0.0 of the diagonal.  ``codes`` is the n x n square
+    of their indices, so the distance of (i, j) is
+    ``levels[codes[i, j]]``.  It is ``uint16`` while the levels and one
+    sentinel value above them fit in 2 bytes, else ``uint32``; the
+    largest value of the dtype is never a code, which leaves it free for
+    ``build_dendrogram`` to mark retired slots.  ``square`` (the float
+    square) and ``values`` (the condensed SciPy view: the upper triangle
+    flattened row-major, (0,1), (0,2), ..., (0,n-1), (1,2), ...,
+    (n-2,n-1)) are built from the codes on each access.
+    ``from_square`` builds the codes of any float square.
     """
 
-    square: np.ndarray
+    codes: np.ndarray
+    levels: np.ndarray
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        sq = np.asarray(self.square, dtype=np.float64)
-        object.__setattr__(self, "square", sq)
+        codes, levels = self.codes, self.levels
+        if codes.ndim != 2 or codes.shape[0] != codes.shape[1]:
+            raise ValueError(f"pair distances must form a square, got shape {codes.shape}")
+        if codes.dtype not in (np.uint16, np.uint32):
+            raise ValueError(f"codes must be uint16 or uint32, got {codes.dtype}")
+        if levels.dtype != np.float64 or levels.ndim != 1 or levels.size == 0:
+            raise ValueError("levels must be a non-empty one-dimensional float64 array")
+        if levels.size > np.iinfo(codes.dtype).max:
+            raise ValueError(f"{levels.size} levels leave no sentinel in {codes.dtype}")
+        # NaN fails every comparison
+        if not (levels[0] == 0.0 and levels[-1] <= 1.0 and (levels[1:] > levels[:-1]).all()):
+            raise ValueError("levels must rise strictly from 0.0 and stay within [0, 1]")
+        if codes.size and int(codes.max()) >= levels.size:
+            raise ValueError("every code must index a level")
+        if codes.diagonal().any():
+            raise ValueError("the distance of an item to itself must be 0")
+        # the row-major tie rule of build_dendrogram relies on symmetry
+        if not _is_symmetric(codes):
+            raise ValueError("pair distances must be symmetric")
+        if self.ids is not None and len(self.ids) != self.n:
+            raise ValueError("ids length must match n")
+
+    @classmethod
+    def from_square(cls, square, ids: tuple[str, ...] | None = None) -> "PairwiseDistances":
+        """Codes of a symmetric array-like in [0, 1] with a zero diagonal."""
+        sq = np.asarray(square, dtype=np.float64)
         if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
             raise ValueError(f"pair distances must form a square, got shape {sq.shape}")
         # min/max propagate NaN, which fails both comparisons
@@ -133,20 +207,102 @@ class PairwiseDistances:
             raise ValueError("pair distances must lie in [0, 1]")
         if sq.diagonal().any():
             raise ValueError("the distance of an item to itself must be 0")
-        # the row-major tie rule of build_dendrogram relies on symmetry
-        if not np.array_equal(sq, sq.T):
+        if not _is_symmetric(sq):
             raise ValueError("pair distances must be symmetric")
-        if self.ids is not None and len(self.ids) != self.n:
-            raise ValueError("ids length must match n")
+        levels, _ = _levels_of(np.sort(sq, axis=None))
+        codes = np.searchsorted(levels, sq).astype(_code_dtype(levels.size))
+        return cls(codes, levels, ids=ids)
 
     @property
     def n(self) -> int:
-        return self.square.shape[0]
+        return self.codes.shape[0]
+
+    @property
+    def square(self) -> np.ndarray:
+        """The float64 square ``levels[codes]``, built on each access."""
+        return self.levels[self.codes]
 
     @property
     def values(self) -> np.ndarray:
         """Condensed copy: one value per unordered pair, in pair order."""
-        return self.square[np.triu_indices(self.n, k=1)]
+        return self.levels[self.codes[np.triu_indices(self.n, k=1)]]
+
+
+def _levels_of(ascending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of ascending distances in [0, 1], and the code of each.
+
+    Equal floats share a code, and 0.0 is always the first level.  The
+    neighbour mask stands in for ``np.unique``, whose first call imports
+    ``numpy.ma``.
+    """
+    values = np.concatenate(([0.0], ascending))
+    rises = values[1:] != values[:-1]
+    return values[np.concatenate(([True], rises))], np.cumsum(rises)
+
+
+def _integer_levels(
+    distinct: np.ndarray, divisor: int, inverted: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of the distances of ascending distinct integers q, and the
+    code of each q.
+
+    q gives q / divisor, or 1.0 - q / divisor when ``inverted``; a zero
+    divisor gives q itself, which is then 0.  Division and subtraction
+    round monotonically, so the floats ascend with q (descend when
+    inverted), and integers that round to one float share its code.
+    """
+    x = distinct / divisor if divisor else distinct.astype(np.float64)
+    if not inverted:
+        return _levels_of(x)
+    levels, codes = _levels_of(1.0 - x[::-1])
+    return levels, codes[::-1]
+
+
+def _coded_distances(
+    q: np.ndarray, divisor: int | None, inverted: bool, ids: tuple[str, ...] | None
+) -> PairwiseDistances:
+    """Distances of an n x n square of exact non-negative integers q.
+
+    The distance of (i, j) is q[i, j] / divisor (``_integer_levels``);
+    a ``divisor`` of None stands for the largest off-diagonal q.  The
+    diagonal of q is ignored.  ``q`` may hold the integers as float64; it
+    is read in blocks of ``_BLOCK_ROWS`` rows, and never cast whole.
+    """
+    n = q.shape[0]
+    top = int(q.max())
+    blocks = [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
+    table = top < n * n
+    if table:
+        # Each block is read from its diagonal on, which covers the upper
+        # triangle; seen[top + 1] absorbs the diagonal.
+        seen = np.zeros(top + 2, dtype=bool)
+        for rows in blocks:
+            block = q[rows, rows.start :].astype(np.intp)
+            block.ravel()[:: n - rows.start + 1] = top + 1
+            seen[block] = True
+        distinct = np.flatnonzero(seen[:-1])
+    else:
+        upper = q[np.triu(np.ones((n, n), dtype=bool), k=1)].astype(np.int64)
+        upper.sort()
+        distinct = upper[np.concatenate(([True], upper[1:] != upper[:-1]))]
+        del upper
+    levels, ranks = _integer_levels(
+        distinct, int(distinct[-1]) if divisor is None else divisor, inverted
+    )
+    codes = np.empty((n, n), dtype=_code_dtype(levels.size))
+    if table:
+        lookup = np.zeros(top + 1, dtype=codes.dtype)
+        lookup[distinct] = ranks
+    else:
+        lookup = ranks.astype(codes.dtype)
+    for rows in blocks:
+        block = q[rows]
+        index = block.astype(np.intp, copy=False) if table else np.searchsorted(distinct, block)
+        # a diagonal entry may index past the last rank; it is clipped
+        # here and set to the code of 0.0 below
+        np.take(lookup, index, out=codes[rows], mode="clip")
+    np.fill_diagonal(codes, 0)
+    return PairwiseDistances(codes, levels, ids=ids)
 
 
 def pair_distance(dist: PairwiseDistances, i: int, j: int) -> float:
@@ -156,23 +312,29 @@ def pair_distance(dist: PairwiseDistances, i: int, j: int) -> float:
         raise IndexError(f"item index out of range for n={n}: ({i}, {j})")
     if i == j:
         raise ValueError("no distance is stored for an item paired with itself")
-    return float(dist.square[i, j])
+    return float(dist.levels[dist.codes[i, j]])
 
 
 def energy_matrix(matrix) -> EnergyMatrix:
     """Interaction energies of all document pairs of a binary matrix."""
     arr, ids = _as_binary_array(matrix)
-    if arr.shape[0] == 0:
+    n, p = arr.shape
+    if n == 0:
         raise ValueError("cannot compute energies of an empty collection")
-    gram = arr @ arr.T
-    gram = gram @ gram
+    if 2 * p * p < n * n:
+        gram = (arr @ (arr.T @ arr)) @ arr.T
+    else:
+        gram = arr @ arr.T
+        gram = gram @ gram
+    # freed before the int64 cast allocates a second n x n array
+    del arr
     # checked before the cast, so no value can wrap
-    _check_energy_limit(gram.max(), arr.shape[0])
+    _check_energy_limit(gram.max(), n)
     return EnergyMatrix(gram_sq=gram.astype(np.int64), ids=ids)
 
 
 def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> PairwiseDistances:
-    """Max-normalized off-diagonal energies as an n x n distance square.
+    """Max-normalized off-diagonal energies as coded n x n distances.
 
     The normalization maximum is taken over off-diagonal entries only.
     ``inverted`` (default) returns 1 - normalized energy so that similar
@@ -184,16 +346,7 @@ def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> Pair
         raise ValueError(f"mode must be one of {DISTANCE_MODES}, got {mode!r}")
     if energy.n < 2:
         raise ValueError("need at least two documents to form pairs")
-    d = energy.gram_sq.astype(np.float64)
-    np.fill_diagonal(d, 0.0)
-    # entries are non-negative, so this is the off-diagonal maximum
-    peak = d.max()
-    if peak:
-        d /= peak
-    if mode == "inverted":
-        np.subtract(1.0, d, out=d)
-        np.fill_diagonal(d, 0.0)
-    return PairwiseDistances(d, ids=energy.ids)
+    return _coded_distances(energy.gram_sq, None, mode == "inverted", energy.ids)
 
 
 def hamming_distance_vector(matrix) -> PairwiseDistances:
@@ -207,14 +360,12 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
     gram = arr @ arr.T
     # a copy: the diagonal is a view of the buffer overwritten below
     ones = gram.diagonal().copy()
-    # in place on the one n x n buffer; every step holds integers of
-    # magnitude at most 2p, so the square is exactly symmetric with a zero
-    # diagonal
+    # in place on the one n x n buffer, which ends up holding the exact
+    # integer count of differing positions of every pair
     gram *= -2
     gram += ones[:, None]
     gram += ones[None, :]
-    gram /= p
-    return PairwiseDistances(gram, ids=ids)
+    return _coded_distances(gram, p, False, ids)
 
 
 def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:
@@ -238,6 +389,6 @@ def distances_to_csv(dist: PairwiseDistances, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id_i", "id_j", "distance"])
-        for i, row in enumerate(dist.square):
-            for j in range(i + 1, dist.n):
-                writer.writerow([labels[i], labels[j], repr(float(row[j]))])
+        for i, row in enumerate(dist.codes):
+            for j, value in enumerate(dist.levels[row[i + 1 :]].tolist(), i + 1):
+                writer.writerow([labels[i], labels[j], repr(value)])

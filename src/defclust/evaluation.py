@@ -208,16 +208,21 @@ class SweepGrid:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid grid {text!r}: {exc}") from None
 
+    def _count(self) -> int:
+        return (self.end - self.start) // self.step + 1
+
     def alphas(self) -> list[Fraction]:
-        out = []
-        k = 0
-        while True:
-            alpha = self.start + k * self.step
-            if alpha > self.end:
-                break
-            out.append(alpha)
-            k += 1
-        return out
+        return [self.start + k * self.step for k in range(self._count())]
+
+    def float_alphas(self) -> list[float]:
+        """``float(alpha)`` of every grid point, without Fraction arithmetic.
+
+        With start = a/b and step = c/d, point k is the integer ratio
+        (a*d + k*c*b) / (b*d), and int / int rounds correctly.
+        """
+        a, b = self.start.numerator, self.start.denominator
+        c, d = self.step.numerator, self.step.denominator
+        return [(a * d + k * c * b) / (b * d) for k in range(self._count())]
 
 
 DEFAULT_GRID = SweepGrid("0.01", "1.00", "0.01")
@@ -281,8 +286,7 @@ def run_sweep(
     merges = tree.merges
     replayed = 0
     rows: list[EvalRow] = []
-    for exact_alpha in grid.alphas():
-        alpha = check_alpha(float(exact_alpha))
+    for alpha in grid.float_alphas():
         while replayed < len(merges) and merges[replayed].distance <= alpha:
             merge = merges[replayed]
             replayed += 1

@@ -22,12 +22,19 @@ least column, which is the larger one.  On a symmetric square that first
 minimum never lies left of the diagonal, so it is also the first minimum
 of the first row whose minimum to the right of the diagonal is least.
 
+The loop runs on the rank codes of the distances (see
+``defclust.distance``), not on the floats: complete linkage only
+compares distances and takes maxima, so a strictly increasing
+relabelling gives the same merges, and the heights are read back from
+the levels.  A retired slot takes the sentinel, the largest value of the
+codes' dtype, which lies above every code.
+
 The loop finds that pair without scanning the square.  Each row i keeps
 a cached neighbour ``nn[i]`` and distance ``nnd[i]``, taken as the first
 minimum of the row over the columns j > i.  Complete linkage only raises
 distances (a merged row is the maximum of its two parents, and a retired
-slot becomes inf), so ``nnd[i]`` stays a lower bound on the row's true
-minimum to the right, and the cache is exact while
+slot takes the sentinel), so ``nnd[i]`` stays a lower bound on the row's
+true minimum to the right, and the cache is exact while
 ``d[i, nn[i]] == nnd[i]``: no column before ``nn[i]`` could have dropped
 to that value.  Each merge takes ``a``, the first row of least ``nnd``;
 if its cache is stale, row a alone is rescanned and the pick is made
@@ -137,25 +144,28 @@ def check_alpha(alpha) -> float:
 def build_dendrogram(dist: PairwiseDistances) -> Dendrogram:
     """Agglomerate all items under complete linkage.
 
-    Runs on a copy of ``dist.square`` with maximum-update (Lance-Williams
+    Runs on a copy of ``dist.codes`` with maximum-update (Lance-Williams
     for complete linkage): after merging clusters a and b, the distance
     of the union to any other cluster is max(d(a, .), d(b, .)).  The next
     pair comes from the cached nearest neighbours described in the module
-    docstring; ``dist.square`` itself is not modified.
+    docstring, and its height is ``dist.levels`` at its code; ``dist``
+    itself is not modified.
     """
     n = dist.n
     if n < 2:
         raise ValueError("need at least two items to cluster")
-    d = dist.square.copy()
-    np.fill_diagonal(d, np.inf)
+    d = dist.codes.copy()
+    retired = np.iinfo(d.dtype).max
+    np.fill_diagonal(d, retired)
     rows = np.arange(n)
     first = d.argmin(axis=1)
     # The minimum over the whole row bounds the one to the right from
     # below.  Where it lies left of the diagonal, nn[i] = i points at the
-    # inf diagonal, so the row reads as stale until it is rescanned.
+    # retired diagonal, so the row reads as stale until it is rescanned.
     nnd = d[rows, first]
-    nnd[n - 1] = np.inf
+    nnd[n - 1] = retired
     nn = np.maximum(first, rows).tolist()
+    heights = dist.levels.tolist()
     cluster_id = list(range(n))
     merges = []
     for new_id in range(n, 2 * n - 1):
@@ -167,22 +177,24 @@ def build_dendrogram(dist: PairwiseDistances) -> Dendrogram:
             nnd[a] = right[j]
             a = int(nnd.argmin())
         b = nn[a]
-        # a keeps the merged cluster, b goes inactive; d[a, a] stays inf
-        # because the maximum with d[a, a] is taken
+        # a keeps the merged cluster, b goes inactive; d[a, a] stays
+        # retired because the maximum with d[a, a] is taken
         merged_row = d[a]
         np.maximum(merged_row, d[b], out=merged_row)
         d[:, a] = merged_row
-        d[b, :] = np.inf
-        d[:, b] = np.inf
+        # Only the rows above b scan column b again.  Through later
+        # merges, the rest of row and column b flows only into row b and
+        # into column b below the diagonal, which no scan reads.
+        d[:b, b] = retired
         merges.append(
             Merge(
                 left=cluster_id[a],
                 right=cluster_id[b],
-                distance=nnd.item(a),
+                distance=heights[nnd.item(a)],
                 new_id=new_id,
             )
         )
-        nnd[b] = np.inf
+        nnd[b] = retired
         cluster_id[a] = new_id
     # Dendrogram.__post_init__ re-checks that distances are non-decreasing,
     # which complete linkage guarantees.

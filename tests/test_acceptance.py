@@ -151,7 +151,7 @@ def test_criterion_2_cut_matches_naive_stop_early_everywhere():
             for j in range(i + 1, n):
                 square[i][j] = square[j][i] = tri[k]
                 k += 1
-        dist = PairwiseDistances(square)
+        dist = PairwiseDistances.from_square(square)
         tree = build_dendrogram(dist)
 
         distances, snapshots = oracle_agglomerate(square)

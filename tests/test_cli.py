@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from defclust.cli import main
+from defclust.distance import PairwiseDistances
 
 CORPUS_LINES = [
     {"id": "a1", "text": "rueda metal brillante acero", "gold_sense": "s:metal", "term": "rueda"},
@@ -568,3 +569,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "COMMAND" in proc.stdout
+
+
+def test_cluster_and_sweep_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma comes in with the first np.unique call and adds over 1 MB
+    # to a traced run's peak; no stage of these commands needs it.
+    script = (
+        "import sys\n"
+        "from defclust.cli import main\n"
+        "corpus, stop, out = sys.argv[1:]\n"
+        "for distance in ('energy', 'hamming'):\n"
+        "    common = [corpus, '--stopwords', stop, '--distance', distance]\n"
+        "    assert main(['cluster', *common, '--alpha', '0.8', '-o', out + '.json']) == 0\n"
+        "    assert main(['sweep', *common, '-o', out + '.csv']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    corpus = bundled("synthetic_definitions.jsonl")
+    stopwords = bundled("spanish_stopwords.txt")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(corpus), str(stopwords), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("distance", ["energy", "hamming"])
+def test_cluster_and_sweep_never_build_the_float_square(distance, corpus_file, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        PairwiseDistances, "square", property(lambda self: pytest.fail("square was built"))
+    )
+    common = [str(corpus_file), "--distance", distance]
+    assert main(["cluster", *common, "--alpha", "0.8", "-o", str(tmp_path / "c.json")]) == 0
+    assert main(["sweep", *common, "-o", str(tmp_path / "s.csv")]) == 0

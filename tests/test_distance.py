@@ -27,7 +27,12 @@ from defclust import (
     hamming_distance_vector,
     pair_distance,
 )
-from defclust.distance import EXACT_INT_LIMIT, distances_to_csv, energy_matrix_to_csv
+from defclust.distance import (
+    EXACT_INT_LIMIT,
+    _integer_levels,
+    distances_to_csv,
+    energy_matrix_to_csv,
+)
 from defclust.errors import DataError
 
 
@@ -141,13 +146,25 @@ def test_energy_symmetric_nonnegative():
 )
 @example(n=300, p=300, density=1.0, seed=0)
 @example(n=300, p=300, density=0.02, seed=1)
+@example(n=300, p=120, density=1.0, seed=2)
+@example(n=120, p=300, density=1.0, seed=3)
 def test_blas_products_equal_int64_oracle(n, p, density, seed):
     arr = (np.random.default_rng(seed).random((n, p)) < density).astype(np.uint8)
     ints = arr.astype(np.int64)
     gram = ints @ ints.T
+    expected = gram @ gram
     q = energy_matrix(arr).gram_sq
     assert q.dtype == np.int64
-    assert np.array_equal(q, gram @ gram)
+    assert np.array_equal(q, expected)
+    # Zero rows and zero columns leave the energies of the other rows as
+    # they are.  With 2 p^2 < n^2 the product is X (X^T X) X^T, else
+    # (X X^T)(X X^T), so the padded matrices take one order each.
+    more_rows = np.vstack([arr, np.zeros((2 * p, p), dtype=np.uint8)])
+    more_cols = np.hstack([arr, np.zeros((n, n), dtype=np.uint8)])
+    assert 2 * p**2 < more_rows.shape[0] ** 2
+    assert 2 * more_cols.shape[1] ** 2 >= n**2
+    assert np.array_equal(energy_matrix(more_rows).gram_sq[:n, :n], expected)
+    assert np.array_equal(energy_matrix(more_cols).gram_sq, expected)
 
     ones = np.diag(gram)
     differing = ones[:, None] + ones[None, :] - 2 * gram
@@ -286,7 +303,79 @@ def test_square_equals_condensed_reference(arr):
         assert np.array_equal(dist.values, values)
         assert dist.square.dtype == np.float64
         assert np.array_equal(dist.square, square)
-        assert merge_tuples(dist) == merge_tuples(PairwiseDistances(square))
+        assert merge_tuples(dist) == merge_tuples(PairwiseDistances.from_square(square))
+
+
+@pytest.mark.parametrize("mode", ["inverted", "raw"])
+def test_table_and_sorted_triangle_give_the_same_codes(mode):
+    # q / peak is one correctly rounded ratio, so scaling every energy by
+    # the same integer keeps every distance.  The small energies stay
+    # below n^2 and are ranked through a table over 0..max; the scaled
+    # ones are not, and go through the sorted upper triangle.
+    arr = (np.random.default_rng(41).random((60, 40)) < 0.06).astype(np.uint8)
+    q = energy_matrix(arr).gram_sq
+    n = len(q)
+    scaled = q * (n * n)
+    assert int(q.max()) < n * n <= int(scaled.max())
+    table = energy_distance_vector(EnergyMatrix(q), mode)
+    triangle = energy_distance_vector(EnergyMatrix(scaled), mode)
+    assert table.codes.dtype == triangle.codes.dtype == np.uint16
+    assert np.array_equal(table.codes, triangle.codes)
+    assert np.array_equal(table.levels, triangle.levels)
+    values, square = condensed_reference(arr, mode)
+    assert np.array_equal(table.values, values)
+    assert np.array_equal(table.levels, np.unique(np.append(square, 0.0)))
+
+
+def test_integers_that_round_to_one_float_share_a_code():
+    # Near 2^53, 1.0 - q / peak gives one float for two integers; the
+    # pipeline never reaches such a peak, so the level builder is called
+    # on its own.
+    peak = EXACT_INT_LIMIT - 1
+    q = 4503599627370295
+    assert 1.0 - q / peak == 1.0 - (q + 1) / peak
+    distinct = np.array([q, q + 1, peak], dtype=np.int64)
+    levels, codes = _integer_levels(distinct, peak, inverted=True)
+    assert levels.tolist() == [0.0, 1.0 - q / peak]
+    assert codes.tolist() == [1, 1, 0]
+    levels, codes = _integer_levels(distinct, peak, inverted=False)
+    assert levels.tolist() == [0.0, q / peak, (q + 1) / peak, 1.0]
+    assert codes.tolist() == [1, 2, 3]
+
+
+def test_pair_reads_do_not_build_the_square(monkeypatch, tmp_path):
+    d = energy_distance_vector(energy_matrix(random_binary(np.random.default_rng(5), 12, 9)))
+    values = d.values
+    monkeypatch.setattr(
+        PairwiseDistances, "square", property(lambda self: pytest.fail("square was built"))
+    )
+    iu = np.triu_indices(d.n, k=1)
+    assert [pair_distance(d, int(i), int(j)) for i, j in zip(*iu)] == values.tolist()
+    distances_to_csv(d, tmp_path / "dist.csv")
+    with (tmp_path / "dist.csv").open(encoding="utf-8", newline="") as handle:
+        assert [float(r[2]) for r in list(csv.reader(handle))[1:]] == values.tolist()
+
+
+def test_coded_distances_validation():
+    codes = np.array([[0, 1], [1, 0]], dtype=np.uint16)
+    levels = np.array([0.0, 0.5])
+    cases = [
+        (codes.astype(np.int16), levels, "uint16 or uint32"),
+        (codes, levels.astype(np.float32), "float64"),
+        (codes, np.array([0.1, 0.5]), "rise strictly from 0.0"),
+        (codes, np.array([0.0, 0.5, 0.5]), "rise strictly"),
+        (codes, np.array([0.0, 1.5]), "within"),
+        (codes, np.array([0.0, np.nan]), "within"),
+        (codes, np.linspace(0.0, 1.0, 2**16), "sentinel"),
+        (codes * 2, levels, "index a level"),
+        (np.ones((2, 2), dtype=np.uint16), levels, "itself"),
+        (np.array([[0, 1], [0, 0]], dtype=np.uint16), levels, "symmetric"),
+        (codes[:1], levels, "square"),
+    ]
+    for bad_codes, bad_levels, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PairwiseDistances(bad_codes, bad_levels)
+    assert PairwiseDistances(codes.astype(np.uint32), levels).values.tolist() == [0.5]
 
 
 def test_distance_mode_and_size_validation():
@@ -358,7 +447,7 @@ def test_hamming_needs_pairs_and_columns():
 # ---------------------------------------------------------------- plumbing
 
 def test_pair_distance_layout():
-    d = PairwiseDistances(squareform([0.1, 0.2, 0.3]))
+    d = PairwiseDistances.from_square(squareform([0.1, 0.2, 0.3]))
     assert pair_distance(d, 0, 1) == 0.1
     assert pair_distance(d, 0, 2) == 0.2
     assert pair_distance(d, 1, 2) == 0.3
@@ -369,7 +458,7 @@ def test_pair_distance_agrees_with_square_form():
     rng = np.random.default_rng(31)
     n = 9
     values = rng.uniform(0, 1, n * (n - 1) // 2)
-    d = PairwiseDistances(squareform(values))
+    d = PairwiseDistances.from_square(squareform(values))
     assert np.array_equal(d.values, values)
     square = d.square
     assert np.array_equal(square, square.T)
@@ -381,7 +470,7 @@ def test_pair_distance_agrees_with_square_form():
 
 
 def test_pair_distance_rejects_bad_indices():
-    d = PairwiseDistances(squareform([0.1, 0.2, 0.3]))
+    d = PairwiseDistances.from_square(squareform([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
         pair_distance(d, 1, 1)
     with pytest.raises(IndexError):
@@ -402,13 +491,13 @@ def test_pairwise_distances_validation():
     ]
     for square, ids, message in cases:
         with pytest.raises(ValueError, match=message):
-            PairwiseDistances(square, ids=ids)
+            PairwiseDistances.from_square(square, ids=ids)
 
 
 def test_integer_and_list_squares_are_stored_as_float64():
     rows = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
     for square in (rows, np.array(rows)):
-        d = PairwiseDistances(square)
+        d = PairwiseDistances.from_square(square)
         assert d.square.dtype == np.float64
         assert d.values.tolist() == [1.0, 1.0, 0.0]
         assert merge_tuples(d) == [(1, 2, 0.0, 3), (0, 3, 1.0, 4)]
@@ -427,7 +516,7 @@ def test_csv_dumps_round_trip(tmp_path):
     assert float(rows[1][2]) == e.values[0, 1]
 
     dpath = tmp_path / "dist.csv"
-    distances_to_csv(PairwiseDistances(d.square, ids=("a", "b", "c")), dpath)
+    distances_to_csv(PairwiseDistances.from_square(d.square, ids=("a", "b", "c")), dpath)
     with dpath.open(encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["id_i", "id_j", "distance"]

@@ -195,6 +195,22 @@ def test_grid_from_floats_does_not_drift():
     assert grid.alphas() == [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.fractions(min_value=Fraction(1, 10**6), max_value=1, max_denominator=10**6),
+    span=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    step=st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=10**6),
+)
+def test_float_alphas_are_the_rounded_grid_points(start, span, step):
+    grid = SweepGrid(start, min(start + span, Fraction(1)), step)
+    assert grid.float_alphas() == [float(a) for a in grid.alphas()]
+
+
+def test_float_alphas_of_the_default_and_float_grids():
+    for grid in (DEFAULT_GRID, SweepGrid(0.1, 0.3, 0.1), SweepGrid("0.001", "1", "0.001")):
+        assert grid.float_alphas() == [float(a) for a in grid.alphas()]
+
+
 def test_degenerate_grid_yields_single_row():
     assert SweepGrid("0.5", "0.5", "0.01").alphas() == [Fraction(1, 2)]
 

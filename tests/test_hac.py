@@ -10,6 +10,10 @@ dendrogram once and cuts it, so agreement here is the point of the test.
 the whole active square per merge.  It is fast enough for squares of a
 few hundred items and is the reference for the library's cached
 nearest-neighbour loop, whose merge list must be identical, ties included.
+
+``float_dendrogram`` is that cached nearest-neighbour loop on the float64
+square, retired slots set to inf.  The library runs it on rank codes,
+which must give the same merges and heights in ``uint16`` and ``uint32``.
 """
 
 import csv
@@ -103,6 +107,43 @@ def argmin_dendrogram(square):
     return merges
 
 
+def float_dendrogram(square):
+    """Merges of the cached nearest-neighbour loop on the float64 square."""
+    d = np.array(square, dtype=np.float64)
+    n = len(d)
+    np.fill_diagonal(d, np.inf)
+    rows = np.arange(n)
+    first = d.argmin(axis=1)
+    nnd = d[rows, first]
+    nnd[n - 1] = np.inf
+    nn = np.maximum(first, rows).tolist()
+    cluster_id = list(range(n))
+    merges = []
+    for new_id in range(n, 2 * n - 1):
+        a = int(nnd.argmin())
+        while d.item(a, nn[a]) != nnd.item(a):
+            right = d[a, a + 1 :]
+            j = int(right.argmin())
+            nn[a] = a + 1 + j
+            nnd[a] = right[j]
+            a = int(nnd.argmin())
+        b = nn[a]
+        merged_row = d[a]
+        np.maximum(merged_row, d[b], out=merged_row)
+        d[:, a] = merged_row
+        d[b, :] = np.inf
+        d[:, b] = np.inf
+        merges.append((cluster_id[a], cluster_id[b], nnd.item(a), new_id))
+        nnd[b] = np.inf
+        cluster_id[a] = new_id
+    return merges
+
+
+def as_uint32(dist):
+    """The same distances with their codes widened to uint32."""
+    return PairwiseDistances(dist.codes.astype(np.uint32), dist.levels, ids=dist.ids)
+
+
 def merge_tuples(tree):
     return [(m.left, m.right, m.distance, m.new_id) for m in tree.merges]
 
@@ -137,7 +178,7 @@ def test_two_pairs_merge_before_crossing():
         [0.6, 0.8, 0.0, 0.2],
         [0.7, 0.9, 0.2, 0.0],
     ]
-    tree = build_dendrogram(PairwiseDistances(square))
+    tree = build_dendrogram(PairwiseDistances.from_square(square))
     assert [(m.left, m.right, m.distance) for m in tree.merges] == [
         (0, 1, 0.1),
         (2, 3, 0.2),
@@ -147,14 +188,14 @@ def test_two_pairs_merge_before_crossing():
 
 
 def test_n2_is_a_single_forced_merge():
-    tree = build_dendrogram(PairwiseDistances([[0, 0.3], [0.3, 0]]))
+    tree = build_dendrogram(PairwiseDistances.from_square([[0, 0.3], [0.3, 0]]))
     assert tree.merges == (Merge(left=0, right=1, distance=0.3, new_id=2),)
 
 
 def test_all_equal_distances_follow_tie_break():
     square = np.full((4, 4), 0.5)
     np.fill_diagonal(square, 0.0)
-    tree = build_dendrogram(PairwiseDistances(square))
+    tree = build_dendrogram(PairwiseDistances.from_square(square))
     # lowest representatives first: (0,1), then ({0,1},2), then (...,3)
     assert [(m.left, m.right) for m in tree.merges] == [(0, 1), (4, 2), (5, 3)]
     assert all(m.distance == 0.5 for m in tree.merges)
@@ -164,7 +205,7 @@ def test_merge_distances_non_decreasing():
     rng = np.random.default_rng(41)
     for trial in range(30):
         square = random_square(rng, int(rng.integers(2, 12)), discrete=trial % 2 == 0)
-        tree = build_dendrogram(PairwiseDistances(square))
+        tree = build_dendrogram(PairwiseDistances.from_square(square))
         dists = [m.distance for m in tree.merges]
         assert dists == sorted(dists)
 
@@ -173,7 +214,7 @@ def test_determinism_with_heavy_ties():
     rng = np.random.default_rng(43)
     for _ in range(10):
         square = random_square(rng, 9, discrete=True)
-        d = PairwiseDistances(square)
+        d = PairwiseDistances.from_square(square)
         assert build_dendrogram(d) == build_dendrogram(d)
 
 
@@ -193,7 +234,7 @@ def tie_heavy_squares(draw):
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_squares())
 def test_merge_list_matches_naive_reference_under_ties(square):
-    tree = build_dendrogram(PairwiseDistances(square))
+    tree = build_dendrogram(PairwiseDistances.from_square(square))
     _, _, merges = naive_stop_early(square.tolist(), np.inf, 1)
     assert merge_tuples(tree) == merges
     assert argmin_dendrogram(square) == merges
@@ -223,8 +264,28 @@ def larger_tie_heavy_squares(draw):
 @settings(max_examples=200, deadline=None)
 @given(larger_tie_heavy_squares())
 def test_merge_list_matches_argmin_oracle_under_ties(square):
-    tree = build_dendrogram(PairwiseDistances(square))
+    tree = build_dendrogram(PairwiseDistances.from_square(square))
     assert merge_tuples(tree) == argmin_dendrogram(square)
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_tie_heavy_squares())
+def test_coded_loop_matches_float_loop_under_ties(square):
+    dist = PairwiseDistances.from_square(square)
+    assert dist.codes.dtype == np.uint16
+    merges = float_dendrogram(square)
+    assert merge_tuples(build_dendrogram(dist)) == merges
+    assert merge_tuples(build_dendrogram(as_uint32(dist))) == merges
+
+
+def test_coded_loop_matches_float_loop_with_uint32_codes():
+    # more than 2^16 - 1 distinct distances leave no uint16 sentinel
+    rng = np.random.default_rng(29)
+    square = random_square(rng, 400)
+    dist = PairwiseDistances.from_square(square)
+    assert dist.codes.dtype == np.uint32
+    assert dist.levels.size == 400 * 399 // 2 + 1
+    assert merge_tuples(build_dendrogram(dist)) == float_dendrogram(square)
 
 
 ALL_EQUAL = np.full((9, 9), 0.5) - 0.5 * np.eye(9)
@@ -263,7 +324,7 @@ RAISED_NEIGHBOUR = symmetric(
     ids=["all-equal", "zero-one", "tied-old-neighbour", "raised-neighbour", "n2", "n3"],
 )
 def test_named_squares_match_argmin_oracle(square, expected):
-    merges = merge_tuples(build_dendrogram(PairwiseDistances(square)))
+    merges = merge_tuples(build_dendrogram(PairwiseDistances.from_square(square)))
     assert merges == argmin_dendrogram(square)
     if expected is not None:
         assert merges == expected
@@ -284,11 +345,26 @@ def test_topics_corpus_merge_list_matches_argmin_oracle():
     assert merge_tuples(build_dendrogram(dist)) == argmin_dendrogram(dist.square)
 
 
+def test_topics_corpus_merge_list_matches_float_loop_at_n1000():
+    rng = random.Random(2031)
+    topics = [[f"w{t:02d}{k:02d}" for k in range(25)] for t in range(40)]
+    shared = [f"g{k:02d}" for k in range(30)]
+    docs = [
+        Document(
+            id=f"doc{j:04d}",
+            text=" ".join(rng.sample(topics[j % 40], rng.randint(5, 9)) + rng.sample(shared, 3)),
+        )
+        for j in range(1000)
+    ]
+    dist = energy_distance_vector(energy_matrix(build_matrix(docs)))
+    assert merge_tuples(build_dendrogram(dist)) == float_dendrogram(dist.square)
+
+
 def test_build_dendrogram_leaves_the_input_square_untouched():
-    dist = PairwiseDistances(random_square(np.random.default_rng(71), 30, discrete=True))
-    before = dist.square.tobytes()
+    dist = PairwiseDistances.from_square(random_square(np.random.default_rng(71), 30, discrete=True))
+    before = dist.codes.tobytes()
     build_dendrogram(dist)
-    assert dist.square.tobytes() == before
+    assert dist.codes.tobytes() == before
     assert not dist.square.diagonal().any()
 
 
@@ -296,7 +372,7 @@ def test_merge_heights_match_scipy_without_ties():
     rng = np.random.default_rng(67)
     for _ in range(20):
         n = int(rng.integers(2, 40))
-        d = PairwiseDistances(random_square(rng, n))
+        d = PairwiseDistances.from_square(random_square(rng, n))
         assert len(set(d.values.tolist())) == d.values.size
         heights = [m.distance for m in build_dendrogram(d).merges]
         assert heights == linkage(d.values, "complete")[:, 2].tolist()
@@ -304,7 +380,7 @@ def test_merge_heights_match_scipy_without_ties():
 
 def test_dendrogram_needs_two_items():
     with pytest.raises(ValueError, match="two items"):
-        build_dendrogram(PairwiseDistances(np.zeros((1, 1))))
+        build_dendrogram(PairwiseDistances.from_square(np.zeros((1, 1))))
 
 
 def test_dendrogram_validates_merge_count_and_order():
@@ -326,7 +402,7 @@ def test_cut_worked_example():
         [0.6, 0.8, 0.0, 0.2],
         [0.7, 0.9, 0.2, 0.0],
     ]
-    tree = build_dendrogram(PairwiseDistances(square))
+    tree = build_dendrogram(PairwiseDistances.from_square(square))
     cut = cut_at_threshold(tree, 0.5)
     assert cut.groups == ((0, 1), (2, 3))
     assert cut.ungrouped == ()
@@ -335,21 +411,21 @@ def test_cut_worked_example():
 def test_cut_at_one_is_the_absolute_group():
     rng = np.random.default_rng(47)
     square = random_square(rng, 8)
-    tree = build_dendrogram(PairwiseDistances(square))
+    tree = build_dendrogram(PairwiseDistances.from_square(square))
     cut = cut_at_threshold(tree, 1.0)
     assert cut.groups == (tuple(range(8)),)
 
 
 def test_cut_at_zero_groups_nothing_when_distances_positive():
     square = [[0.0, 0.3, 0.4], [0.3, 0.0, 0.5], [0.4, 0.5, 0.0]]
-    tree = build_dendrogram(PairwiseDistances(square))
+    tree = build_dendrogram(PairwiseDistances.from_square(square))
     cut = cut_at_threshold(tree, 0.0)
     assert cut.groups == ()
     assert cut.ungrouped == (0, 1, 2)
 
 
 def test_cut_threshold_is_inclusive():
-    tree = build_dendrogram(PairwiseDistances([[0, 0.3], [0.3, 0]]))
+    tree = build_dendrogram(PairwiseDistances.from_square([[0, 0.3], [0.3, 0]]))
     assert cut_at_threshold(tree, 0.3).groups == ((0, 1),)
 
 
@@ -361,14 +437,14 @@ def test_cut_min_size_filter():
         [0.9, 0.9, 0.2, 0.0, 0.3],
         [0.9, 0.9, 0.3, 0.3, 0.0],
     ]
-    tree = build_dendrogram(PairwiseDistances(square))
+    tree = build_dendrogram(PairwiseDistances.from_square(square))
     cut = cut_at_threshold(tree, 0.5, min_size=3)
     assert cut.groups == ((2, 3, 4),)
     assert cut.ungrouped == (0, 1)
 
 
 def test_cut_validates_inputs():
-    tree = build_dendrogram(PairwiseDistances([[0, 0.3], [0.3, 0]]))
+    tree = build_dendrogram(PairwiseDistances.from_square([[0, 0.3], [0.3, 0]]))
     with pytest.raises(ValueError, match="alpha"):
         cut_at_threshold(tree, 1.5)
     with pytest.raises(ValueError, match="min_size"):
@@ -381,7 +457,7 @@ def test_cut_matches_naive_stop_early():
     for trial in range(12):
         n = int(rng.integers(2, 8))
         square = random_square(rng, n, discrete=trial % 2 == 0)
-        tree = build_dendrogram(PairwiseDistances(square))
+        tree = build_dendrogram(PairwiseDistances.from_square(square))
         for alpha in alphas:
             for min_size in (1, 2):
                 cut = cut_at_threshold(tree, alpha, min_size=min_size)
@@ -396,7 +472,7 @@ def test_nesting_across_thresholds():
     rng = np.random.default_rng(59)
     for _ in range(8):
         square = random_square(rng, 10)
-        tree = build_dendrogram(PairwiseDistances(square))
+        tree = build_dendrogram(PairwiseDistances.from_square(square))
         previous = None
         for alpha in [k / 10 for k in range(11)]:
             cut = cut_at_threshold(tree, alpha, min_size=1)
@@ -411,7 +487,7 @@ def test_grouped_items_grow_with_alpha():
     rng = np.random.default_rng(61)
     for _ in range(8):
         square = random_square(rng, 10, discrete=True)
-        tree = build_dendrogram(PairwiseDistances(square))
+        tree = build_dendrogram(PairwiseDistances.from_square(square))
         seen = set()
         for alpha in [k / 10 for k in range(11)]:
             cut = cut_at_threshold(tree, alpha)
@@ -449,7 +525,7 @@ def test_clustering_from_json_requires_fields():
 
 def test_dendrogram_csv_lists_merges():
     tree = build_dendrogram(
-        PairwiseDistances([[0.0, 0.25, 0.5], [0.25, 0.0, 0.75], [0.5, 0.75, 0.0]])
+        PairwiseDistances.from_square([[0.0, 0.25, 0.5], [0.25, 0.0, 0.75], [0.5, 0.75, 0.0]])
     )
     text = dendrogram_to_csv(tree)
     rows = list(csv.reader(io.StringIO(text)))
