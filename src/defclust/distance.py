@@ -11,26 +11,33 @@ i.e. a matrix product, not an elementwise square.  Documents therefore
 interact both directly (shared vocabulary) and through every third
 document that shares vocabulary with both.
 
-The product runs in float64, so numpy hands it to BLAS, and the result
-is cast to an int64 ``gram_sq``.  With p terms, the order is the one of
-fewer multiply-adds: X (X^T X) X^T takes 2 n p^2 + n^2 p and
+The product runs in floating point, so numpy hands it to BLAS, and the
+result is cast to an int64 ``gram_sq``.  With p terms, the order is the
+one of fewer multiply-adds: X (X^T X) X^T takes 2 n p^2 + n^2 p and
 (X X^T)(X X^T) takes n^2 p + n^3, so the first is taken when
-2 p^2 < n^2.  This is exact integer
-arithmetic: every cell is 0 or 1, so every product term is a non-negative
-integer, and any partial sum, in any blocking, thread split or FMA order,
-is a sum of a subset of an entry's terms and so at most that entry.  The
-intermediate entries are bounded by the result too: (X^T X)_kl <= n, and
+2 p^2 < n^2.  This is exact integer arithmetic: every cell is 0 or 1, so
+every product term is a non-negative integer, and any partial sum, in
+any blocking, thread split or FMA order, is a sum of a subset of an
+entry's terms and so at most that entry.  The intermediate entries are
+bounded by the result too: (X^T X)_kl <= n, and
 (X X^T X)_ik = sum_m G_im X_mk is at most sum_m G_im^2, the diagonal
-entry gram_sq[i, i].  While every entry is below 2^53
-(``EXACT_INT_LIMIT``) every intermediate is an exactly representable
-integer and the result equals the int64 product bit for bit.  Rounding
-is monotone, so a computed maximum below 2^53 also proves that no entry
-reached it; at or above the limit ``DataError`` is raised.  Reaching it
-takes n * t_max^2 >= 2^53, with t_max the largest number of distinct
-terms in one document: for instance 10,000 documents of about 950,000
-terms each, far beyond any n x n matrix that fits in memory.  The 1/2
-factor and the max-normalization move to floating point only at the
-distance step (halving and a single division of integers below 2^53 are
+entry gram_sq[i, i].  With t_max the largest number of distinct terms in
+one document, G_im <= t_max, so every entry, intermediate and partial sum
+is at most n * t_max^2.  A float type holds every integer below its
+limit exactly, 2^24 for float32 and 2^53 for float64, so the product runs
+in float32 when n * t_max^2 < 2^24 and in float64 otherwise, and either
+way the cast equals the int64 product bit for bit.  float32 halves the
+product's memory and about halves its time; it covers, for instance,
+4,000 documents of up to 64 terms each.  In float64 the bound is only
+reached at n * t_max^2 >= 2^53 (``EXACT_INT_LIMIT``): for instance
+10,000 documents of about 950,000 terms each, far beyond any n x n
+matrix that fits in memory.  There the computed maximum is checked
+before the cast: rounding is monotone, so a maximum below 2^53 also
+proves that no entry reached it, and at or above the limit
+``DataError`` is raised.  The Hamming count takes the same rule with
+the bound 2p (``hamming_distance_vector``).  The 1/2 factor and the
+max-normalization move to floating point only at the distance step
+(halving and a single division of integers below 2^53 are
 exact/correctly rounded, so results are deterministic).
 
 High shared vocabulary means HIGH energy, so the normalized energy is a
@@ -62,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import BinaryDocTermMatrix
+from .corpus import BinaryDocTermMatrix, check_binary_cells
 from .errors import DataError
 
 DISTANCE_MODES = ("inverted", "raw")
@@ -97,19 +104,25 @@ def _is_symmetric(square: np.ndarray) -> bool:
 
 
 def _as_binary_array(matrix) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """0/1 cells of a BinaryDocTermMatrix or a raw array-like, as float64.
+    """0/1 cells of a BinaryDocTermMatrix or a raw array-like, uncast.
 
     A BinaryDocTermMatrix checked its cells when it was built, so only raw
     array-likes are checked here.
     """
     if isinstance(matrix, BinaryDocTermMatrix):
-        return matrix.data.astype(np.float64), tuple(matrix.doc_ids)
+        return matrix.data, tuple(matrix.doc_ids)
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise ValueError("expected a two-dimensional document-term matrix")
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise ValueError("matrix cells must be exactly 0 or 1")
-    return arr.astype(np.float64), None
+    check_binary_cells(arr)
+    return arr, None
+
+
+def _exact_float(bound: int) -> type[np.floating]:
+    """Float type of a product whose integers all stay within ``bound``:
+    float32 while the bound is below 2^24, where float32 holds every
+    integer exactly, else float64."""
+    return np.float32 if bound < 2**24 else np.float64
 
 
 @dataclass(frozen=True)
@@ -265,7 +278,7 @@ def _coded_distances(
 
     The distance of (i, j) is q[i, j] / divisor (``_integer_levels``);
     a ``divisor`` of None stands for the largest off-diagonal q.  The
-    diagonal of q is ignored.  ``q`` may hold the integers as float64; it
+    diagonal of q is ignored.  ``q`` may hold the integers as floats; it
     is read in blocks of ``_BLOCK_ROWS`` rows, and never cast whole.
     """
     n = q.shape[0]
@@ -317,10 +330,13 @@ def pair_distance(dist: PairwiseDistances, i: int, j: int) -> float:
 
 def energy_matrix(matrix) -> EnergyMatrix:
     """Interaction energies of all document pairs of a binary matrix."""
-    arr, ids = _as_binary_array(matrix)
-    n, p = arr.shape
+    cells, ids = _as_binary_array(matrix)
+    n, p = cells.shape
     if n == 0:
         raise ValueError("cannot compute energies of an empty collection")
+    # every entry, intermediate and partial sum is at most n * t_max^2
+    bound = n * int(np.count_nonzero(cells, axis=1).max()) ** 2
+    arr = cells.astype(_exact_float(bound), copy=False)
     if 2 * p * p < n * n:
         gram = (arr @ (arr.T @ arr)) @ arr.T
     else:
@@ -328,8 +344,10 @@ def energy_matrix(matrix) -> EnergyMatrix:
         gram = gram @ gram
     # freed before the int64 cast allocates a second n x n array
     del arr
-    # checked before the cast, so no value can wrap
-    _check_energy_limit(gram.max(), n)
+    # below the limit no entry can reach it; otherwise the float maximum
+    # is checked before the cast, so no value can wrap
+    if bound >= EXACT_INT_LIMIT:
+        _check_energy_limit(gram.max(), n)
     return EnergyMatrix(gram_sq=gram.astype(np.int64), ids=ids)
 
 
@@ -351,12 +369,15 @@ def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> Pair
 
 def hamming_distance_vector(matrix) -> PairwiseDistances:
     """Normalized Hamming baseline: differing positions / vector length."""
-    arr, ids = _as_binary_array(matrix)
-    n, p = arr.shape
+    cells, ids = _as_binary_array(matrix)
+    n, p = cells.shape
     if p < 1:
         raise ValueError("vectors must have at least one dimension")
     if n < 2:
         raise ValueError("need at least two documents to form pairs")
+    # G_ij <= p, and the in-place -2 G_ij + t_i + t_j below stays within
+    # [-2p, 2p]
+    arr = cells.astype(_exact_float(2 * p), copy=False)
     gram = arr @ arr.T
     # a copy: the diagonal is a view of the buffer overwritten below
     ones = gram.diagonal().copy()

@@ -12,6 +12,8 @@ from defclust import (
     Document,
     Tokenizer,
     build_matrix,
+    energy_matrix,
+    hamming_distance_vector,
     load_corpus,
     load_phrases,
     load_stopwords,
@@ -411,6 +413,43 @@ def test_matrix_rejects_non_binary_cells():
             doc_ids=("d1",),
             terms=("a", "b"),
         )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "cells",
+    [
+        np.array([[0, 1]], dtype=np.uint8),
+        np.array([[1, 3]], dtype=np.uint8),
+        np.array([[0, 1], [-1, 1]], dtype=np.int8),
+        np.array([[True, False]]),
+        np.array([[0.0, -0.0, 1.0]]),
+        np.array([[1.0, np.nan]]),
+        np.array([[0.5, 1.0]], dtype=np.float32),
+        np.array([["0", "1"]]),
+        np.array([[0, 1, True, 1.0]], dtype=object),
+        np.array([[1, None]], dtype=object),
+    ],
+    ids=["uint8", "uint8-3", "int8", "bool", "float", "nan", "float32", "str", "object",
+         "object-none"],
+)
+def test_binary_check_accepts_what_isin_accepts(cells):
+    # one check serves the matrix type and raw arrays passed to distances
+    calls = [
+        lambda: BinaryDocTermMatrix(
+            data=cells,
+            doc_ids=tuple(f"d{j}" for j in range(cells.shape[0])),
+            terms=tuple(f"t{i}" for i in range(cells.shape[1])),
+        ),
+        lambda: energy_matrix(cells),
+        lambda: hamming_distance_vector(np.vstack([cells, cells])),
+    ]
+    for call in calls:
+        if np.isin(cells, (0, 1)).all():
+            call()
+        else:
+            with pytest.raises(ValueError, match="^matrix cells must be exactly 0 or 1$"):
+                call()
 
 
 def test_matrix_rejects_all_zero_row():

@@ -4,14 +4,16 @@ The energy core is integer arithmetic, so most checks here demand exact
 equality, not tolerances.  The independent oracle used below expands the
 full quadruple sum over shared lexical entities and intermediate
 documents; it shares no code path with the library's matrix products.
-At sizes where BLAS blocks and splits the float64 products, the oracle
-is the same products in int64, which numpy computes without BLAS.  The
+At sizes where BLAS blocks and splits the float products, the oracle is
+the same products in int64, which numpy computes without BLAS.  The
 pair distances are checked against the condensed upper-triangle path they
 used to take before the n x n square became their only layout.
 """
 
 import csv
+import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import squareform
 
 from defclust import (
+    Document,
     EnergyMatrix,
     PairwiseDistances,
     build_dendrogram,
+    build_matrix,
     energy_distance_vector,
     energy_matrix,
     hamming_distance_vector,
@@ -29,6 +33,7 @@ from defclust import (
 )
 from defclust.distance import (
     EXACT_INT_LIMIT,
+    _exact_float,
     _integer_levels,
     distances_to_csv,
     energy_matrix_to_csv,
@@ -58,6 +63,31 @@ def random_binary(rng, n, p):
         if not arr[j].any():
             arr[j, rng.integers(0, p)] = 1
     return arr
+
+
+def float_types_taken(call, *args):
+    """``call(*args)``, and the float type of each product it ran."""
+    taken = []
+
+    def record(bound):
+        taken.append(_exact_float(bound))
+        return taken[-1]
+
+    with mock.patch("defclust.distance._exact_float", record):
+        return call(*args), taken
+
+
+def energy_float_type(cells):
+    """float32 exactly while n * t_max^2 < 2^24, t_max the largest row sum."""
+    n = cells.shape[0]
+    t_max = int(np.asarray(cells, dtype=np.int64).sum(axis=1).max())
+    return np.float32 if n * t_max**2 < 2**24 else np.float64
+
+
+def int64_energy(cells):
+    ints = np.asarray(cells, dtype=np.int64)
+    gram = ints @ ints.T
+    return gram @ gram
 
 
 def condensed_reference(arr, distance):
@@ -144,32 +174,92 @@ def test_energy_symmetric_nonnegative():
     density=st.sampled_from([0.005, 0.02, 0.1, 0.5, 0.9, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
+# float64 in both orders (256 * 256^2 = 2^24; 400 * 250^2 with 2 p^2 < n^2)
+@example(n=256, p=256, density=1.0, seed=0)
+@example(n=400, p=250, density=1.0, seed=4)
+# float32 in both orders (255 * 256^2 < 2^24; 300 * 120^2)
+@example(n=255, p=256, density=1.0, seed=5)
+@example(n=300, p=120, density=1.0, seed=2)
 @example(n=300, p=300, density=1.0, seed=0)
 @example(n=300, p=300, density=0.02, seed=1)
-@example(n=300, p=120, density=1.0, seed=2)
 @example(n=120, p=300, density=1.0, seed=3)
 def test_blas_products_equal_int64_oracle(n, p, density, seed):
     arr = (np.random.default_rng(seed).random((n, p)) < density).astype(np.uint8)
-    ints = arr.astype(np.int64)
-    gram = ints @ ints.T
-    expected = gram @ gram
-    q = energy_matrix(arr).gram_sq
-    assert q.dtype == np.int64
-    assert np.array_equal(q, expected)
+    expected = int64_energy(arr)
     # Zero rows and zero columns leave the energies of the other rows as
     # they are.  With 2 p^2 < n^2 the product is X (X^T X) X^T, else
-    # (X X^T)(X X^T), so the padded matrices take one order each.
+    # (X X^T)(X X^T), so the padded matrices take one order each.  Zero
+    # rows raise n * t_max^2, so they may also move the product to float64.
     more_rows = np.vstack([arr, np.zeros((2 * p, p), dtype=np.uint8)])
     more_cols = np.hstack([arr, np.zeros((n, n), dtype=np.uint8)])
     assert 2 * p**2 < more_rows.shape[0] ** 2
     assert 2 * more_cols.shape[1] ** 2 >= n**2
-    assert np.array_equal(energy_matrix(more_rows).gram_sq[:n, :n], expected)
-    assert np.array_equal(energy_matrix(more_cols).gram_sq, expected)
+    for cells in (arr, more_rows, more_cols):
+        energy, taken = float_types_taken(energy_matrix, cells)
+        assert taken == [energy_float_type(cells)]
+        assert energy.gram_sq.dtype == np.int64
+        assert np.array_equal(energy.gram_sq[:n, :n], expected)
 
+    ints = arr.astype(np.int64)
+    gram = ints @ ints.T
     ones = np.diag(gram)
     differing = ones[:, None] + ones[None, :] - 2 * gram
     expected = differing[np.triu_indices(n, k=1)] / p
-    assert np.array_equal(hamming_distance_vector(arr).values, expected)
+    dist, taken = float_types_taken(hamming_distance_vector, arr)
+    assert taken == [np.float32]
+    assert np.array_equal(dist.values, expected)
+
+
+def test_float_type_switches_at_two_to_the_24():
+    # n * t_max^2 of 1,864,135 documents of 3 terms is 2^24 - 1, and of
+    # 4 documents of 2048 terms is 2^24
+    assert _exact_float(1_864_135 * 3**2) is np.float32
+    assert _exact_float(4 * 2048**2) is np.float64
+    # four documents of 2047 and of 2048 terms fall on either side
+    for t_max, float_type in ((2047, np.float32), (2048, np.float64)):
+        arr = np.ones((4, t_max), dtype=np.uint8)
+        energy, taken = float_types_taken(energy_matrix, arr)
+        assert taken == [float_type]
+        assert np.array_equal(energy.gram_sq, int64_energy(arr))
+
+
+def test_float64_above_two_to_the_24_where_float32_rounds():
+    # row 0 holds all 4097 terms and row 1 the first 4096, so the energy
+    # of row 0 with itself is 4097^2 + 4096^2 = 33,562,625: odd and above
+    # 2^24, where float32 holds only even integers
+    arr = np.ones((2, 4097), dtype=np.uint8)
+    arr[1, -1] = 0
+    single = arr.astype(np.float32)
+    gram = single @ single.T
+    assert int((gram @ gram)[0, 0]) != 4097**2 + 4096**2
+    energy, taken = float_types_taken(energy_matrix, arr)
+    assert taken == [np.float64]
+    assert energy.gram_sq[0, 0] == 4097**2 + 4096**2
+    assert np.array_equal(energy.gram_sq, int64_energy(arr))
+
+
+def topics_documents(n):
+    """The acceptance-gate corpus: 20 topics of 25 words and 30 shared ones."""
+    rng = random.Random(2030)
+    topics = [[f"w{t:02d}{k:02d}" for k in range(25)] for t in range(20)]
+    shared = [f"g{k:02d}" for k in range(30)]
+    return [
+        Document(
+            id=f"doc{j:04d}",
+            text=" ".join(rng.sample(topics[j % 20], rng.randint(5, 9)) + rng.sample(shared, 3)),
+        )
+        for j in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_topics_corpus_energy_in_float32_equals_the_float64_product(n):
+    matrix = build_matrix(topics_documents(n))
+    energy, taken = float_types_taken(energy_matrix, matrix)
+    assert taken == [np.float32]
+    x = matrix.data.astype(np.float64)
+    assert 2 * matrix.p**2 < n**2
+    assert np.array_equal(energy.gram_sq, ((x @ (x.T @ x)) @ x.T).astype(np.int64))
 
 
 def test_energy_limit_is_two_to_the_53():
@@ -423,9 +513,9 @@ def test_hamming_metric_axioms_small():
 
 
 def test_hamming_peak_stays_near_one_square():
-    # with few columns the n x n float64 square is nearly all the memory a
-    # call needs; building the distances through n x n temporaries would
-    # take about four squares
+    # with few columns the n x n float32 product and the 2-byte codes are
+    # nearly all the memory a call needs; building the distances through
+    # n x n float64 temporaries would take about four float64 squares
     n = 600
     arr = random_binary(np.random.default_rng(31), n, 6)
     tracemalloc.start()
