@@ -12,8 +12,9 @@ interact both directly (shared vocabulary) and through every third
 document that shares vocabulary with both.
 
 The product runs in floating point, so numpy hands it to BLAS, and the
-result is cast to an int64 ``gram_sq``.  With p terms, the order is the
-one of fewer multiply-adds: X (X^T X) X^T takes 2 n p^2 + n^2 p and
+result is kept in that float type as ``gram_sq``: every entry is an
+exact integer, so no integer copy is made.  With p terms, the order is
+the one of fewer multiply-adds: X (X^T X) X^T takes 2 n p^2 + n^2 p and
 (X X^T)(X X^T) takes n^2 p + n^3, so the first is taken when
 2 p^2 < n^2.  This is exact integer arithmetic: every cell is 0 or 1, so
 every product term is a non-negative integer, and any partial sum, in
@@ -26,19 +27,20 @@ one document, G_im <= t_max, so every entry, intermediate and partial sum
 is at most n * t_max^2.  A float type holds every integer below its
 limit exactly, 2^24 for float32 and 2^53 for float64, so the product runs
 in float32 when n * t_max^2 < 2^24 and in float64 otherwise, and either
-way the cast equals the int64 product bit for bit.  float32 halves the
-product's memory and about halves its time; it covers, for instance,
-4,000 documents of up to 64 terms each.  In float64 the bound is only
-reached at n * t_max^2 >= 2^53 (``EXACT_INT_LIMIT``): for instance
-10,000 documents of about 950,000 terms each, far beyond any n x n
-matrix that fits in memory.  There the computed maximum is checked
-before the cast: rounding is monotone, so a maximum below 2^53 also
-proves that no entry reached it, and at or above the limit
-``DataError`` is raised.  The Hamming count takes the same rule with
-the bound 2p (``hamming_distance_vector``).  The 1/2 factor and the
-max-normalization move to floating point only at the distance step
-(halving and a single division of integers below 2^53 are
-exact/correctly rounded, so results are deterministic).
+way every entry equals the int64 product.  float32 halves the product's
+memory and about halves its time; it covers, for instance, 4,000
+documents of up to 64 terms each, and then the float32 square (4 n^2
+bytes) and the 2-byte rank codes below are nearly all the memory from
+the product to the distances.  In float64 the bound is only reached at
+n * t_max^2 >= 2^53 (``EXACT_INT_LIMIT``): for instance 10,000
+documents of about 950,000 terms each, far beyond any n x n matrix that
+fits in memory.  ``EnergyMatrix`` checks the computed maximum: rounding
+is monotone, so a maximum below 2^53 also proves that no entry reached
+it, and at or above the limit ``DataError`` is raised.  The Hamming
+count takes the same rule with the bound 2p (``hamming_distance_vector``).
+The 1/2 factor and the max-normalization move to floating point only at
+the distance step (halving and a single division of integers below 2^53
+are exact/correctly rounded, so results are deterministic).
 
 High shared vocabulary means HIGH energy, so the normalized energy is a
 similarity.  The default ``inverted`` mode returns 1 - normalized energy,
@@ -64,7 +66,7 @@ for.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +82,6 @@ EXACT_INT_LIMIT = 2**53
 _BLOCK_ROWS = 32
 """Rows of an n x n square handled at a time: a band and its transpose
 stay in cache, and no whole-square temporary is made."""
-
-
-def _check_energy_limit(peak, n: int) -> None:
-    if peak >= EXACT_INT_LIMIT:
-        raise DataError(
-            f"second-order energy {int(peak)} for n={n} documents reaches the "
-            f"exact-integer limit 2^53 = {EXACT_INT_LIMIT}"
-        )
 
 
 def _is_symmetric(square: np.ndarray) -> bool:
@@ -130,12 +124,16 @@ class EnergyMatrix:
     """Pairwise interaction-energy magnitudes |e_ij|.
 
     ``gram_sq`` holds the integer matrix (X X^T)(X X^T), so e_ij =
-    gram_sq[i, j] / 2.  Symmetric and non-negative by construction, and
-    every entry is below ``EXACT_INT_LIMIT``.
+    gram_sq[i, j] / 2.  Its entries are exact non-negative integers,
+    held as int64 or as floats (``energy_matrix`` keeps the float type
+    of its product).  It must be symmetric, and every entry must stay
+    below ``EXACT_INT_LIMIT``; ``peak`` is the largest entry.  Whole
+    numbers are checked where the distances read the square.
     """
 
     gram_sq: np.ndarray
     ids: tuple[str, ...] | None = None
+    peak: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = self.gram_sq
@@ -143,12 +141,17 @@ class EnergyMatrix:
             raise ValueError("energy matrix must be square")
         if not _is_symmetric(q):
             raise ValueError("energy matrix must be symmetric")
-        if q.size and int(q.min()) < 0:
+        if q.size and q.min() < 0:
             raise ValueError("energy magnitudes must be non-negative")
-        if q.size:
-            _check_energy_limit(int(q.max()), q.shape[0])
+        peak = q.max() if q.size else 0
+        if peak >= EXACT_INT_LIMIT:
+            raise DataError(
+                f"second-order energy {peak} for n={q.shape[0]} documents "
+                f"reaches the exact-integer limit 2^53 = {EXACT_INT_LIMIT}"
+            )
         if self.ids is not None and len(self.ids) != q.shape[0]:
             raise ValueError("ids length must match the matrix size")
+        object.__setattr__(self, "peak", int(peak))
 
     @property
     def n(self) -> int:
@@ -156,8 +159,8 @@ class EnergyMatrix:
 
     @property
     def values(self) -> np.ndarray:
-        """Energy magnitudes e_ij as floats (exact halves of integers)."""
-        return self.gram_sq / 2.0
+        """Energy magnitudes e_ij as float64 (exact halves of integers)."""
+        return np.divide(self.gram_sq, 2.0, dtype=np.float64)
 
 
 def _code_dtype(n_levels: int):
@@ -271,18 +274,28 @@ def _integer_levels(
     return levels, codes[::-1]
 
 
+def _whole_copy(a: np.ndarray, dtype) -> np.ndarray:
+    """A copy of ``a`` in the integer ``dtype``, which would truncate a
+    fraction; a fraction is a ``ValueError`` instead."""
+    if a.dtype.kind == "f" and not (np.trunc(a) == a).all():
+        raise ValueError("pair distances need whole numbers, got a fraction")
+    return a.astype(dtype)
+
+
 def _coded_distances(
-    q: np.ndarray, divisor: int | None, inverted: bool, ids: tuple[str, ...] | None
+    q: np.ndarray, top: int, divisor: int | None, inverted: bool, ids: tuple[str, ...] | None
 ) -> PairwiseDistances:
     """Distances of an n x n square of exact non-negative integers q.
 
-    The distance of (i, j) is q[i, j] / divisor (``_integer_levels``);
-    a ``divisor`` of None stands for the largest off-diagonal q.  The
-    diagonal of q is ignored.  ``q`` may hold the integers as floats; it
-    is read in blocks of ``_BLOCK_ROWS`` rows, and never cast whole.
+    ``top`` is the largest entry of q.  The distance of (i, j) is
+    q[i, j] / divisor (``_integer_levels``); a ``divisor`` of None
+    stands for the largest off-diagonal q.  The diagonal of q is ignored.
+    ``q`` may hold the integers as floats; it is read in blocks of
+    ``_BLOCK_ROWS`` rows, and never cast whole.  q is symmetric, so the
+    upper triangle, read first, is checked for fractions (a
+    ``ValueError``), and the casts of the full rows after it are exact.
     """
     n = q.shape[0]
-    top = int(q.max())
     blocks = [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
     table = top < n * n
     if table:
@@ -290,12 +303,12 @@ def _coded_distances(
         # triangle; seen[top + 1] absorbs the diagonal.
         seen = np.zeros(top + 2, dtype=bool)
         for rows in blocks:
-            block = q[rows, rows.start :].astype(np.intp)
+            block = _whole_copy(q[rows, rows.start :], np.intp)
             block.ravel()[:: n - rows.start + 1] = top + 1
             seen[block] = True
         distinct = np.flatnonzero(seen[:-1])
     else:
-        upper = q[np.triu(np.ones((n, n), dtype=bool), k=1)].astype(np.int64)
+        upper = _whole_copy(q[np.triu(np.ones((n, n), dtype=bool), k=1)], np.int64)
         upper.sort()
         distinct = upper[np.concatenate(([True], upper[1:] != upper[:-1]))]
         del upper
@@ -341,14 +354,10 @@ def energy_matrix(matrix) -> EnergyMatrix:
         gram = (arr @ (arr.T @ arr)) @ arr.T
     else:
         gram = arr @ arr.T
+        # X is n x p with p near n in this order: freed before G G is built
+        del arr
         gram = gram @ gram
-    # freed before the int64 cast allocates a second n x n array
-    del arr
-    # below the limit no entry can reach it; otherwise the float maximum
-    # is checked before the cast, so no value can wrap
-    if bound >= EXACT_INT_LIMIT:
-        _check_energy_limit(gram.max(), n)
-    return EnergyMatrix(gram_sq=gram.astype(np.int64), ids=ids)
+    return EnergyMatrix(gram_sq=gram, ids=ids)
 
 
 def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> PairwiseDistances:
@@ -364,7 +373,7 @@ def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> Pair
         raise ValueError(f"mode must be one of {DISTANCE_MODES}, got {mode!r}")
     if energy.n < 2:
         raise ValueError("need at least two documents to form pairs")
-    return _coded_distances(energy.gram_sq, None, mode == "inverted", energy.ids)
+    return _coded_distances(energy.gram_sq, energy.peak, None, mode == "inverted", energy.ids)
 
 
 def hamming_distance_vector(matrix) -> PairwiseDistances:
@@ -386,7 +395,7 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
     gram *= -2
     gram += ones[:, None]
     gram += ones[None, :]
-    return _coded_distances(gram, p, False, ids)
+    return _coded_distances(gram, int(gram.max()), p, False, ids)
 
 
 def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:

@@ -32,6 +32,7 @@ from defclust import (
     pair_distance,
 )
 from defclust.distance import (
+    DISTANCE_MODES,
     EXACT_INT_LIMIT,
     _exact_float,
     _integer_levels,
@@ -161,10 +162,12 @@ def test_energy_symmetric_nonnegative():
     rng = np.random.default_rng(5)
     for _ in range(20):
         arr = random_binary(rng, int(rng.integers(2, 12)), int(rng.integers(1, 15)))
-        q = energy_matrix(arr).gram_sq
+        energy, taken = float_types_taken(energy_matrix, arr)
+        q = energy.gram_sq
         assert np.array_equal(q, q.T)
         assert int(q.min()) >= 0
-        assert q.dtype == np.int64
+        assert q.dtype == taken[0]
+        assert energy.peak == int(q.max())
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,7 +200,7 @@ def test_blas_products_equal_int64_oracle(n, p, density, seed):
     for cells in (arr, more_rows, more_cols):
         energy, taken = float_types_taken(energy_matrix, cells)
         assert taken == [energy_float_type(cells)]
-        assert energy.gram_sq.dtype == np.int64
+        assert energy.gram_sq.dtype == taken[0]
         assert np.array_equal(energy.gram_sq[:n, :n], expected)
 
     ints = arr.astype(np.int64)
@@ -262,6 +265,71 @@ def test_topics_corpus_energy_in_float32_equals_the_float64_product(n):
     assert np.array_equal(energy.gram_sq, ((x @ (x.T @ x)) @ x.T).astype(np.int64))
 
 
+def test_energy_distances_peak_near_one_float32_square():
+    # The float32 product (4 n^2 bytes) and the 2-byte codes are nearly all
+    # the memory; an int64 copy of the product takes the peak to 12 n^2.
+    # In the G G order (2 p^2 >= n^2) G and G G coexist for a moment, and
+    # the float32 copy of X, 4 n p bytes, is freed before.
+    gg_cells = (np.random.default_rng(3).random((1000, 900)) < 0.01).astype(np.uint8)
+    for cells, squares in ((build_matrix(topics_documents(2000)).data, 7), (gg_cells, 9)):
+        n = cells.shape[0]
+        tracemalloc.start()
+        try:
+            energy_distance_vector(energy_matrix(cells))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < squares * n * n
+
+
+def test_float_square_gives_what_its_int64_cast_gives(tmp_path):
+    energy = energy_matrix(build_matrix(topics_documents(300)))
+    cast = EnergyMatrix(energy.gram_sq.astype(np.int64), ids=energy.ids)
+    assert energy.gram_sq.dtype == np.float32
+    assert energy.peak == cast.peak
+    assert energy.values.dtype == cast.values.dtype == np.float64
+    assert energy.values.tobytes() == cast.values.tobytes()
+    energy_matrix_to_csv(energy, tmp_path / "float.csv")
+    energy_matrix_to_csv(cast, tmp_path / "int64.csv")
+    assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "int64.csv").read_bytes()
+    for mode in ("inverted", "raw"):
+        got, expected = energy_distance_vector(energy, mode), energy_distance_vector(cast, mode)
+        assert np.array_equal(got.codes, expected.codes)
+        assert got.levels.tobytes() == expected.levels.tobytes()
+
+
+def test_distances_take_the_peak_of_the_energy_matrix():
+    reads = []
+
+    class CountedMax(np.ndarray):
+        def max(self, *args, **kwargs):
+            reads.append(self.shape)
+            return super().max(*args, **kwargs)
+
+    q = energy_matrix(random_binary(np.random.default_rng(7), 20, 9)).gram_sq
+    energy = EnergyMatrix(q.view(CountedMax))
+    assert reads == [(20, 20)] and energy.peak == int(q.max())
+    energy_distance_vector(energy)
+    assert reads == [(20, 20)]
+
+
+def test_fractional_or_infinite_energies_raise_value_error():
+    # the casts of the integer codes would truncate 2.9 to 2; the small
+    # square is ranked through a table, the scaled one by sorting
+    fractional = np.array([[4.0, 2.9, 2.0], [2.9, 4.0, 2.0], [2.0, 2.0, 4.0]])
+    for q in (fractional, fractional * 10 + 0.5):
+        for mode in DISTANCE_MODES:
+            with pytest.raises(ValueError, match="whole numbers"):
+                energy_distance_vector(EnergyMatrix(q), mode)
+    for q in ([[1.0, np.inf], [np.inf, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="limit"):
+            EnergyMatrix(np.array(q))
+    # the Hamming square holds exact integers as floats too
+    arr = random_binary(np.random.default_rng(11), 40, 13)
+    values, _ = condensed_reference(arr, "hamming")
+    assert np.array_equal(hamming_distance_vector(arr).values, values)
+
+
 def test_energy_limit_is_two_to_the_53():
     EnergyMatrix(gram_sq=np.full((2, 2), EXACT_INT_LIMIT - 1))
     with pytest.raises(DataError, match=f"2\\^53 = {EXACT_INT_LIMIT}"):
@@ -270,7 +338,7 @@ def test_energy_limit_is_two_to_the_53():
 
 def test_energy_matrix_raises_at_the_limit(monkeypatch):
     # reaching 2^53 needs n * t_max^2 >= 2^53, far past memory, so the
-    # limit is lowered to reach the check on the float product
+    # limit is lowered to reach EnergyMatrix's check on the float product
     monkeypatch.setattr("defclust.distance.EXACT_INT_LIMIT", 8)
     with pytest.raises(DataError, match="n=2 documents"):
         energy_matrix(np.array([[1, 1, 0], [1, 1, 0]]))
