@@ -19,7 +19,6 @@ from .corpus import (
     load_phrases,
     load_stopwords,
     parse_jsonl_corpus,
-    tokenize,
 )
 from .datasets import (
     spanish_stopwords,
@@ -46,9 +45,8 @@ from .evaluation import (
     classify_zone,
     format_cluster_report,
     identify_intruders,
-    precision,
-    recall,
     run_sweep,
+    score_clustering,
     sweep_to_csv,
 )
 from .hac import (
@@ -118,14 +116,12 @@ __all__ = [
     "load_stopwords",
     "pair_distance",
     "parse_jsonl_corpus",
-    "precision",
-    "recall",
     "run_sweep",
     "scan_text",
+    "score_clustering",
     "spanish_stopwords",
     "sweep_to_csv",
     "synthetic_definitions",
     "synthetic_gold",
     "synthetic_tokenizer",
-    "tokenize",
 ]

@@ -127,23 +127,6 @@ def _merge_phrases(
     return out
 
 
-def tokenize(
-    text: str,
-    stopwords: Iterable[str] | None = None,
-    phrases: Iterable[str] | None = None,
-) -> list[str]:
-    """Tokenize one text (convenience wrapper around :class:`Tokenizer`).
-
-    ``phrases`` are multi-word entities given as plain strings; each is
-    normalized by the same rule before matching.
-    """
-    tok = Tokenizer(
-        stopwords=frozenset(w.lower() for w in stopwords) if stopwords else frozenset(),
-        phrases=tuple(_phrase_words(p) for p in phrases) if phrases else (),
-    )
-    return tok(text)
-
-
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Stopword file: UTF-8, one token per line."""
     out = set()

@@ -388,6 +388,8 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
     # [-2p, 2p]
     arr = cells.astype(_exact_float(2 * p), copy=False)
     gram = arr @ arr.T
+    # only the n x n product is needed from here on
+    del arr
     # a copy: the diagonal is a view of the buffer overwritten below
     ones = gram.diagonal().copy()
     # in place on the one n x n buffer, which ends up holding the exact

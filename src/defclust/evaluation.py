@@ -102,26 +102,26 @@ class GoldAnnotation:
         return cls(sense_of=sense_of)
 
 
-def recall(clustering: Clustering, total: int) -> float:
-    """Grouped documents / total documents; 0 when nothing is grouped."""
-    return _ratio_of_total(clustering.grouped_count(), total)
-
-
 def _ratio_of_total(grouped: int, total: int) -> float:
     if total < 1:
         raise ValueError("total document count must be at least 1")
     return grouped / total
 
 
-def _majority_sense(group: Sequence, gold: GoldAnnotation):
-    """Most frequent gold sense in a group; ties as in identify_intruders."""
+def _sense_counts(group: Sequence, gold: GoldAnnotation) -> tuple[list, Counter]:
+    """Gold sense of each member of a group, and the count of each sense."""
     labels = []
     for member in group:
         try:
             labels.append(gold.sense_of[member])
         except KeyError:
             raise DataError(f"no gold sense for grouped document {member!r}") from None
-    counts = Counter(labels)
+    return labels, Counter(labels)
+
+
+def _majority_sense(group: Sequence, gold: GoldAnnotation):
+    """Most frequent gold sense in a group; ties as in identify_intruders."""
+    labels, counts = _sense_counts(group, gold)
     top = max(counts.values())
     return min(
         (member, label) for member, label in zip(group, labels) if counts[label] == top
@@ -139,17 +139,6 @@ def identify_intruders(clustering: Clustering, gold: GoldAnnotation) -> set:
         sense = _majority_sense(group, gold)
         intruders.update(member for member in group if gold.sense_of[member] != sense)
     return intruders
-
-
-def precision(clustering: Clustering, intruders: set) -> float:
-    """(grouped - intruders) / grouped; 0 when no group is formed."""
-    grouped = {member for group in clustering.labeled_groups() for member in group}
-    stray = set(intruders) - grouped
-    if stray:
-        raise ValueError(f"intruders not in any group: {sorted(stray, key=repr)}")
-    if not grouped:
-        return 0.0
-    return (len(grouped) - len(intruders)) / len(grouped)
 
 
 def classify_zone(alpha: float) -> str:
@@ -237,15 +226,29 @@ class EvalRow:
     zone: str
 
 
-def score_clustering(clustering: Clustering, total: int, gold: GoldAnnotation) -> EvalRow:
-    """Group count, recall over ``total`` documents, precision and zone."""
+def _row(alpha: float, groups: int, grouped: int, majority: int, total: int) -> EvalRow:
+    """The row of ``grouped`` of ``total`` documents, ``majority`` in their group's sense."""
     return EvalRow(
-        alpha=clustering.alpha,
-        num_groups=len(clustering.groups),
-        recall=recall(clustering, total),
-        precision=precision(clustering, identify_intruders(clustering, gold)),
-        zone=classify_zone(clustering.alpha),
+        alpha=alpha,
+        num_groups=groups,
+        recall=_ratio_of_total(grouped, total),
+        precision=majority / grouped if grouped else 0.0,
+        zone=classify_zone(alpha),
     )
+
+
+def score_clustering(clustering: Clustering, total: int, gold: GoldAnnotation) -> EvalRow:
+    """Group count, recall over ``total`` documents, precision and zone.
+
+    A group of ``size`` members holds ``size - top`` intruders (see the
+    module docstring), so its sense counts alone give its precision.
+    """
+    grouped = majority = 0
+    for group in clustering.labeled_groups():
+        _, counts = _sense_counts(group, gold)
+        grouped += len(group)
+        majority += max(counts.values())
+    return _row(clustering.alpha, len(clustering.groups), grouped, majority, total)
 
 
 def run_sweep(
@@ -265,8 +268,8 @@ def run_sweep(
     members give the group count, the grouped size and the sum of top
     counts, so precision is ``sum(top) / grouped``, exact under any tie
     rule (see the module docstring).  At the first grid point where a
-    group holds a document without a gold sense, that one cut is built
-    and scored, which raises the ``DataError`` naming the document.
+    group holds a document without a gold sense, ``score_clustering`` of
+    that one cut raises the ``DataError`` naming the document.
     Recall is checked to be non-decreasing along the sweep, which
     threshold-cut monotonicity guarantees.
     """
@@ -310,17 +313,10 @@ def run_sweep(
                 majority += sign * top
                 unlabelled_groups += sign * (unlabelled > 0)
         changed.clear()
-        recall_now = _ratio_of_total(grouped, total)
+        row = _row(alpha, groups, grouped, majority, total)
         if unlabelled_groups:
             # Scoring this cut raises the DataError naming the document.
-            identify_intruders(cut_at_threshold(tree, alpha, min_size=min_size), gold)
-        row = EvalRow(
-            alpha=alpha,
-            num_groups=groups,
-            recall=recall_now,
-            precision=majority / grouped if grouped else 0.0,
-            zone=classify_zone(alpha),
-        )
+            score_clustering(cut_at_threshold(tree, alpha, min_size=min_size), total, gold)
         if rows and row.recall < rows[-1].recall:
             raise AssertionError(f"recall decreased along the sweep at alpha={row.alpha}")
         rows.append(row)

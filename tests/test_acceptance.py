@@ -26,9 +26,8 @@ from defclust import (
     energy_matrix,
     hamming_distance_vector,
     identify_intruders,
-    precision,
-    recall,
     scan_text,
+    score_clustering,
 )
 from defclust.distance import PairwiseDistances
 from defclust.evaluation import DEFAULT_GRID
@@ -177,23 +176,26 @@ def test_criterion_2_cut_matches_naive_stop_early_everywhere():
 
 def test_criterion_3_metric_boundary_clauses_and_arithmetic():
     """recall/precision edge values plus the 5/10 and 4/5 examples, exact."""
-    none = clustering_of([], (0, 1, 2))
-    assert recall(none, 3) == 0.0
-    assert precision(none, set()) == 0.0
+    one_sense = GoldAnnotation({item: "s" for item in range(12)})
+    none = score_clustering(clustering_of([], (0, 1, 2)), 3, one_sense)
+    assert none.recall == 0 / 3 == 0.0
+    assert none.precision == 0.0
 
     absolute = clustering_of([tuple(range(12))], (), alpha=1.0)
-    assert recall(absolute, 12) == 1.0
+    assert score_clustering(absolute, 12, one_sense).recall == 12 / 12 == 1.0
 
     pure = clustering_of([(0, 1), (2, 3)], (), ids=("a", "b", "c", "d"))
     gold = GoldAnnotation({"a": "s1", "b": "s1", "c": "s2", "d": "s2"})
     assert identify_intruders(pure, gold) == set()
-    assert precision(pure, set()) == 1.0
+    assert score_clustering(pure, 4, gold).precision == 1.0
 
     half = clustering_of([(0, 1, 2), (3, 4)], (5, 6, 7, 8, 9))
-    assert recall(half, 10) == 5 / 10 == 0.5
+    assert score_clustering(half, 10, one_sense).recall == 5 / 10 == 0.5
 
     five_grouped = clustering_of([(0, 1, 2), (3, 4)], (), ids=tuple("abcde"))
-    assert precision(five_grouped, {"c"}) == 4 / 5 == 0.8
+    gold = GoldAnnotation({"a": "s1", "b": "s1", "c": "s2", "d": "s3", "e": "s3"})
+    assert identify_intruders(five_grouped, gold) == {"c"}
+    assert score_clustering(five_grouped, 5, gold).precision == 4 / 5 == 0.8
     print("criterion 3 PASS: boundary clauses and arithmetic examples exact")
 
 

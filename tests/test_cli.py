@@ -306,6 +306,18 @@ def test_eval_gold_file_whose_ids_mention_gold_sense(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["precision"] == 0.5
 
 
+def test_eval_names_the_grouped_document_without_gold(
+    clustering_file, gold_file, tmp_path, capsys
+):
+    gold = tmp_path / "partial-gold.jsonl"
+    lines = gold_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    gold.write_text("".join(line for line in lines if '"a2"' not in line), encoding="utf-8")
+    out = tmp_path / "eval.json"
+    assert main(["eval", str(clustering_file), str(gold), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no gold sense for grouped document 'a2'\n"
+    assert not out.exists()
+
+
 def test_eval_rejects_non_clustering_json(tmp_path, gold_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"alpha": 0.5}', encoding="utf-8")

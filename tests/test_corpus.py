@@ -18,7 +18,6 @@ from defclust import (
     load_phrases,
     load_stopwords,
     parse_jsonl_corpus,
-    tokenize,
 )
 from defclust.errors import read_utf8
 
@@ -41,37 +40,41 @@ def make_docs(rng, n, max_len=6):
 # ---------------------------------------------------------------- tokenize
 
 def test_tokenize_lowercases_and_splits_on_punctuation():
-    assert tokenize("La célula, es un") == ["la", "célula", "es", "un"]
+    assert Tokenizer()("La célula, es un") == ["la", "célula", "es", "un"]
 
 
 def test_tokenize_keeps_opaque_symbols():
     # inintelligible strings are still valid lexical entities
-    assert tokenize("B4 Viv") == ["b4", "viv"]
+    assert Tokenizer()("B4 Viv") == ["b4", "viv"]
 
 
 def test_tokenize_punctuation_only_is_empty():
-    assert tokenize("¡¡¡") == []
+    assert Tokenizer()("¡¡¡") == []
 
 
 def test_tokenize_underscore_is_a_separator():
-    assert tokenize("foo_bar") == ["foo", "bar"]
+    assert Tokenizer()("foo_bar") == ["foo", "bar"]
 
 
 def test_tokenize_preserves_diacritics():
-    assert tokenize("Ñandú según ESTÁ") == ["ñandú", "según", "está"]
+    assert Tokenizer()("Ñandú según ESTÁ") == ["ñandú", "según", "está"]
 
 
-def test_tokenize_stopwords_removed_case_insensitively():
-    assert tokenize("La célula ES un", stopwords=["LA", "es", "un"]) == ["célula"]
+def test_tokenize_stopwords_removed_case_insensitively(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("LA\nes\nun\n", encoding="utf-8")
+    tok = Tokenizer(stopwords=load_stopwords(path))
+    assert tok("La célula ES un") == ["célula"]
 
 
 def test_tokenize_phrases_merge_into_single_tokens():
-    got = tokenize("la República Francesa existe", phrases=["República Francesa"])
+    tok = Tokenizer(phrases=(("república", "francesa"),))
+    got = tok("la República Francesa existe")
     assert got == ["la", "república francesa", "existe"]
 
 
 def test_tokenize_phrase_longest_match_wins():
-    got = tokenize("a b c d", phrases=["a b", "a b c"])
+    got = Tokenizer(phrases=(("a", "b"), ("a", "b", "c")))("a b c d")
     assert got == ["a b c", "d"]
 
 
@@ -86,7 +89,7 @@ def test_tokenizer_drop_term_removes_own_term_only():
 
 @given(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8))
 def test_tokenize_of_joined_words_returns_them(words):
-    assert tokenize(" ".join(words)) == list(words)
+    assert Tokenizer()(" ".join(words)) == list(words)
 
 
 # ---------------------------------------------------------------- Document

@@ -22,12 +22,11 @@ from defclust import (
     cut_at_threshold,
     format_cluster_report,
     identify_intruders,
-    precision,
-    recall,
     run_sweep,
+    score_clustering,
     sweep_to_csv,
 )
-from defclust.evaluation import DEFAULT_GRID, SWEEP_CSV_HEADER, ZONE_NOTE, score_clustering
+from defclust.evaluation import DEFAULT_GRID, SWEEP_CSV_HEADER, ZONE_NOTE
 
 
 def clustering_of(groups, ungrouped, alpha=0.5, ids=None):
@@ -39,27 +38,41 @@ def clustering_of(groups, ungrouped, alpha=0.5, ids=None):
     )
 
 
+def one_sense(total):
+    """Gold that gives documents 0 .. total-1 the same sense."""
+    return GoldAnnotation({item: "s" for item in range(total)})
+
+
+def test_package_exports_resolve_and_include_the_scorer():
+    import defclust
+
+    missing = [name for name in defclust.__all__ if not hasattr(defclust, name)]
+    assert missing == []
+    assert "score_clustering" in defclust.__all__
+    assert defclust.score_clustering is score_clustering
+
+
 # ---------------------------------------------------------------- recall
 
 def test_recall_arithmetic_example():
     # 10 documents, groups of 3 and 2 -> 5/10
     c = clustering_of([(0, 1, 2), (3, 4)], (5, 6, 7, 8, 9))
-    assert recall(c, 10) == 0.5
+    assert score_clustering(c, 10, one_sense(10)).recall == 0.5
 
 
 def test_recall_zero_without_groups():
     c = clustering_of([], (0, 1, 2))
-    assert recall(c, 3) == 0.0
+    assert score_clustering(c, 3, one_sense(3)).recall == 0.0
 
 
 def test_recall_one_at_absolute_group():
     c = clustering_of([tuple(range(7))], ())
-    assert recall(c, 7) == 1.0
+    assert score_clustering(c, 7, one_sense(7)).recall == 1.0
 
 
 def test_recall_rejects_zero_total():
-    with pytest.raises(ValueError):
-        recall(clustering_of([], ()), 0)
+    with pytest.raises(ValueError, match="total document count"):
+        score_clustering(clustering_of([], ()), 0, one_sense(0))
 
 
 def test_recall_plus_ungrouped_ratio_is_one_exactly():
@@ -74,7 +87,8 @@ def test_recall_plus_ungrouped_ratio_is_one_exactly():
         extra = () if grouped >= 2 else tuple(range(grouped))
         ungrouped = tuple(range(grouped, total)) + extra
         c = clustering_of(groups, ungrouped)
-        assert recall(c, total) + len(c.ungrouped) / total == 1.0
+        row = score_clustering(c, total, one_sense(total))
+        assert row.recall + len(c.ungrouped) / total == 1.0
 
 
 # ---------------------------------------------------------------- intruders
@@ -106,7 +120,7 @@ def test_sense_pure_clustering_has_no_intruders():
         {"a": "s1", "b": "s1", "c": "s2", "d": "s2", "e": "s2", "f": "s9"}
     )
     assert identify_intruders(c, gold) == set()
-    assert precision(c, set()) == 1.0
+    assert score_clustering(c, 6, gold).precision == 1.0
 
 
 def test_missing_gold_label_names_the_document():
@@ -114,6 +128,8 @@ def test_missing_gold_label_names_the_document():
     gold = GoldAnnotation({"d1": "s1"})
     with pytest.raises(DataError, match="'d2'"):
         identify_intruders(c, gold)
+    with pytest.raises(DataError, match="'d2'"):
+        score_clustering(c, 2, gold)
 
 
 def test_intruders_ignore_ungrouped_documents():
@@ -127,23 +143,19 @@ def test_intruders_ignore_ungrouped_documents():
 def test_precision_arithmetic_example():
     # 5 grouped, 1 intruder -> 4/5
     c = clustering_of([(0, 1, 2), (3, 4)], (), ids=tuple("abcde"))
-    assert precision(c, {"b"}) == 0.8
+    gold = GoldAnnotation({"a": "s1", "b": "s2", "c": "s1", "d": "s3", "e": "s3"})
+    assert identify_intruders(c, gold) == {"b"}
+    assert score_clustering(c, 5, gold).precision == 0.8
 
 
 def test_precision_zero_without_groups():
     c = clustering_of([], (0, 1))
-    assert precision(c, set()) == 0.0
+    assert score_clustering(c, 2, one_sense(2)).precision == 0.0
 
 
 def test_precision_one_with_zero_intruders():
     c = clustering_of([(0, 1, 2)], ())
-    assert precision(c, set()) == 1.0
-
-
-def test_precision_rejects_stray_intruders():
-    c = clustering_of([(0, 1)], (2,))
-    with pytest.raises(ValueError, match="not in any group"):
-        precision(c, {2})
+    assert score_clustering(c, 3, one_sense(3)).precision == 1.0
 
 
 # ---------------------------------------------------------------- zones
@@ -333,6 +345,12 @@ def cut_and_score_sweep(tree, total, gold, grid=DEFAULT_GRID, min_size=2):
     for exact_alpha in grid.alphas():
         clustering = cut_at_threshold(tree, float(exact_alpha), min_size=min_size)
         row = score_clustering(clustering, total, gold)
+        # score_clustering counts sum(top); the tie rule's intruder set
+        # must leave the same precision (gold is complete here, or
+        # score_clustering would have raised)
+        grouped = clustering.grouped_count()
+        kept = grouped - len(identify_intruders(clustering, gold))
+        assert row.precision == (kept / grouped if grouped else 0.0)
         if rows and row.recall < rows[-1].recall:
             raise AssertionError(f"recall decreased along the sweep at alpha={row.alpha}")
         rows.append(row)
