@@ -275,10 +275,16 @@ def build_matrix(
     ids = tuple(doc.id for doc in docs)
     if len(set(ids)) != len(ids):
         raise DataError("document ids must be unique within a collection")
-    column = {term: i for i, term in enumerate(terms)}
-    data = np.zeros((len(docs), len(terms)), dtype=np.uint8)
-    for j, (doc, tokens) in enumerate(zip(docs, token_sets)):
+    for doc, tokens in zip(docs, token_sets):
         if not tokens:
             raise DataError(f"document {doc.id!r} tokenized to nothing")
-        data[j, [column[token] for token in tokens]] = 1
+    width = len(terms)
+    column = {term: i for i, term in enumerate(terms)}
+    data = np.zeros((len(docs), width), dtype=np.uint8)
+    # cell (j, c) sits at flat index j * width + c of the C-ordered array
+    np.put(
+        data,
+        [j * width + column[token] for j, tokens in enumerate(token_sets) for token in tokens],
+        1,
+    )
     return BinaryDocTermMatrix(data=data, doc_ids=ids, terms=terms)

@@ -367,12 +367,14 @@ def format_cluster_report(
         f"{len(clustering.groups)} group(s), {grouped}/{total} documents grouped"
     )
     lines.append(ZONE_NOTE)
-    intruders = identify_intruders(clustering, gold) if gold is not None else set()
     for k, group in enumerate(clustering.labeled_groups(), 1):
         members = sorted(group, key=str)
         header = f"group {k} ({len(members)} members"
+        intruders: set = set()
         if gold is not None:
-            header += f", sense={_majority_sense(group, gold)}"
+            sense = _majority_sense(group, gold)
+            header += f", sense={sense}"
+            intruders = {member for member in group if gold.sense_of[member] != sense}
         lines.append(header + ")")
         for member in members:
             flag = "!" if member in intruders else " "

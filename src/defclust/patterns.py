@@ -13,14 +13,16 @@ flexible whitespace, no tokenization, no syntax.  A match is only ever a
 carries ``verified=False`` until some later judgment.
 
 Scanning costs one pass over the text per leading word of the search
-patterns, not one per template×term: patterns that start with the same
-word are found together by one alternation, then each member is matched
-at every position the alternation stops.  The hits are exactly those of
-one search loop per pattern (see :func:`scan_text`).
+patterns, not one per template×term, and each pass is a case-sensitive
+literal search: the text is first folded, one character for one, onto
+a representative of each case class of the pattern characters, so case
+and whitespace are settled once per text.  The hits are exactly those of
+one IGNORECASE search loop per pattern (see :func:`scan_text`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -151,6 +153,39 @@ def _tail_after(text: str, end: int) -> str:
     return text[end:stop].strip()
 
 
+class _CaseClasses(dict):
+    """``str.translate`` table that folds each character onto one per
+    IGNORECASE class of the patterns' characters, filled as it is read.
+
+    A non-space character maps to the first pattern character (in
+    code-point order) that sre matches it against under ``_MATCH_FLAGS``;
+    whitespace maps to ``" "``; any other character maps to a sentinel
+    that is neither a pattern character nor whitespace.  One character
+    maps to one, so offsets are kept.
+    """
+
+    def __init__(self, patterns: Sequence[SearchPattern]):
+        super().__init__()
+        chars = set("".join(pattern.text for pattern in patterns))
+        self.chars = sorted(ch for ch in chars if not ch.isspace())
+        self.classes = re.compile(
+            "|".join(f"({re.escape(ch)})" for ch in self.chars), _MATCH_FLAGS
+        )
+        self.sentinel = next(
+            ch for ch in map(chr, itertools.count()) if ch not in chars and not ch.isspace()
+        )
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        if ch.isspace():
+            folded = " "
+        else:
+            found = self.classes.fullmatch(ch)
+            folded = self.chars[found.lastindex - 1] if found else self.sentinel
+        self[code] = folded
+        return folded
+
+
 def scan_text(
     text: str, source_id: str, patterns: Sequence[SearchPattern]
 ) -> list[CandidateContext]:
@@ -160,43 +195,73 @@ def scan_text(
     is stripped; it may come out empty when the terminator is adjacent.
     Results are sorted by span.
 
-    Patterns are grouped by the first word of their literal text, and
-    each group is scanned in one pass with the alternation of its
-    members.  This is exact: the alternation tries every branch at a
-    position before moving on, so it stops at every start where some
-    member matches, and there each member's own ``regex.match`` gives
-    the same match its own search would have found from that start.
+    The search runs case-sensitively over a folded copy of the text (see
+    :class:`_CaseClasses`), where sre skips ahead to each occurrence of a
+    literal prefix; under ``re.IGNORECASE`` it would try every position.
+    Each pattern folds to a key, its folded words joined by one space,
+    and patterns are grouped by the first word of their key.  A group is
+    searched in one pass for that word followed by the alternation of the
+    rest of its keys, each space made `` +``; a group holding the bare
+    word is searched for the word alone.
+
+    Exactness.  sre's one-character IGNORECASE test is an equivalence: a
+    pattern character ``c`` that sre treats as cased matches exactly the
+    characters whose simple lowercase lies in ``c``'s own simple
+    lowercase plus its fixed extra cases (``ſ`` with ``s``, ``ı`` with
+    ``i``, ``ς`` with ``σ``, ``µ`` with ``μ``, ...), sets that are
+    disjoint cliques; a character it treats as caseless matches only
+    itself, and no other character lowercases to it.  So ``x`` matches
+    ``c`` iff both fall in one class, that is iff they fold to one
+    character.  Whitespace has no case, ``\\s`` and ``str.isspace`` are
+    one predicate, and the sentinel is no folded pattern character.
+    Position by position, then, a pattern's own IGNORECASE regex matches
+    the text at a start, and ends where it ends, iff its folded regex
+    matches the folded text there.
+
+    Dispatch.  The search stops at every start where some member of the
+    group matches, since the alternation tries every branch at a position
+    before moving on.  Every key that matches there is a prefix of the
+    folded text from that start with its space runs collapsed, so those
+    keys are prefixes of one another.  With the longest keys first, one
+    captured alternation names the longest that matches, and only members
+    whose keys prefix it are tried; each member's own ``regex.match`` on
+    the original text gives the span it emits.
     """
     if not text:
         raise ValueError("text must be non-empty")
-    groups: dict[str, list[SearchPattern]] = {}
+    table = _CaseClasses(patterns)
+    folded = text.translate(table)
+    groups: dict[str, dict[str, list[SearchPattern]]] = {}
     for pattern in patterns:
-        groups.setdefault(pattern.text.split()[0], []).append(pattern)
+        first, _, rest = " ".join(pattern.text.translate(table).split()).partition(" ")
+        groups.setdefault(first, {}).setdefault(rest, []).append(pattern)
     hits: list[CandidateContext] = []
-    for members in groups.values():
-        # sre factors the shared literal prefix out of the branches, so
-        # one pass costs about as much as one pattern's
-        finder = re.compile(
-            "|".join(f"(?:{m.regex.pattern})" for m in members), _MATCH_FLAGS
-        )
+    for first, by_rest in groups.items():
+        rests = sorted(by_rest, key=len, reverse=True)
+        branches = [" +".join(map(re.escape, rest.split(" "))) for rest in rests if rest]
+        head = re.escape(first)
+        # sre factors the literals that branches share only when they
+        # capture nothing, so the search and the choice are two regexes
+        finder = re.compile(head if "" in by_rest else f"{head} +(?:{'|'.join(branches)})")
+        chooser = re.compile(head + "(?: +(?:" + "|".join(f"({b})" for b in branches) + "))?")
         pos = 0
-        while True:
-            found = finder.search(text, pos)
-            if found is None:
-                break
+        while (found := finder.search(folded, pos)) is not None:
             start = found.start()
-            for pattern in members:
-                match = pattern.regex.match(text, start)
-                if match is not None:
-                    hits.append(
-                        CandidateContext(
-                            source_id=source_id,
-                            span=(start, match.end()),
-                            term=pattern.term,
-                            matched_pattern=pattern.template,
-                            tail=_tail_after(text, match.end()),
+            chosen = chooser.match(folded, start).lastindex
+            rest = rests[chosen - 1] if chosen else ""
+            for end in range(len(rest) + 1):
+                for pattern in by_rest.get(rest[:end], ()):
+                    match = pattern.regex.match(text, start)
+                    if match is not None:
+                        hits.append(
+                            CandidateContext(
+                                source_id=source_id,
+                                span=(start, match.end()),
+                                term=pattern.term,
+                                matched_pattern=pattern.template,
+                                tail=_tail_after(text, match.end()),
+                            )
                         )
-                    )
             # step one character, not past the match, so overlapping
             # occurrences are all found
             pos = start + 1

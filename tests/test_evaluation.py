@@ -26,6 +26,7 @@ from defclust import (
     score_clustering,
     sweep_to_csv,
 )
+from defclust import evaluation
 from defclust.evaluation import DEFAULT_GRID, SWEEP_CSV_HEADER, ZONE_NOTE
 
 
@@ -470,6 +471,25 @@ def test_report_shows_senses_intruders_and_note():
     assert "! d3  tres" in report
     assert "ungrouped: d4" in report
     assert "3/4 documents grouped" in report
+
+
+def test_report_counts_each_groups_senses_once(monkeypatch):
+    calls = []
+    sense_counts = evaluation._sense_counts
+
+    def counting(group, gold):
+        calls.append(tuple(group))
+        return sense_counts(group, gold)
+
+    monkeypatch.setattr(evaluation, "_sense_counts", counting)
+    c = clustering_of([(0, 1, 2), (3, 4)], (5,), alpha=0.4)
+    gold = GoldAnnotation({i: "s1" if i < 2 or i == 4 else "s2" for i in range(6)})
+    report = format_cluster_report(c, gold=gold)
+    assert sorted(calls) == [(0, 1, 2), (3, 4)]
+    assert "group 1 (3 members, sense=s1)" in report
+    assert "group 2 (2 members, sense=s2)" in report
+    marked = [line.split()[1] for line in report.splitlines() if line.startswith("  !")]
+    assert marked == ["2", "4"]
 
 
 def test_report_without_gold_or_texts():

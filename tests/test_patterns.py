@@ -3,6 +3,7 @@
 import json
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from defclust import (
     load_pattern_file,
     scan_text,
 )
-from defclust.patterns import _tail_after
+from defclust.patterns import _MATCH_FLAGS, _CaseClasses, _tail_after
 
 NEGATIVE_SENTENCE = "el miedo a la aguja es el más frecuente"
 
@@ -246,7 +247,8 @@ def reference_scan(text, source_id, patterns):
 
 # "<T> es un" with "la x" repeats the text of "la <T> es un" with "x",
 # which compile_search_patterns drops; "<T> ..." templates share no
-# leading word; "define\tuna <T>" has a tab inside the template.
+# leading word; "define\tuna <T>" has a tab inside the template; "<T>s"
+# makes one-word patterns, alone or beside longer ones on the same word.
 ORACLE_TEMPLATES = [
     PatternTemplate("la <T> es un"),
     PatternTemplate("la <T> es"),
@@ -255,27 +257,48 @@ ORACLE_TEMPLATES = [
     PatternTemplate("<T>, que es"),
     PatternTemplate("define\tuna <T>"),
     PatternTemplate("ha definido la <T>"),
+    PatternTemplate("<T>s"),
 ]
+# sre's case classes with more than two members (IGNORECASE matches
+# across each row), and whitespace that both \s and str.split take
+CASE_CLASSES = [
+    "kK\u212a",
+    "sS\u017f",
+    "iI\u0130\u0131",
+    "\u03c3\u03a3\u03c2",
+    "\u00b5\u03bc\u039c",
+]
+CASE_CLASS_OF = {ch: row for row in CASE_CLASSES for ch in row}
+EXOTIC_SPACES = ["\xa0", "\x85", "\x1c", "\u2028", "\u3000"]
 # nested ("x" inside "x es un y"), prefix-sharing ("barra"/"barras"),
-# non-ASCII case pairs, and whitespace other than a space inside terms
+# non-ASCII case pairs, whitespace other than a space inside terms, one
+# member of each case class above, and "\x00", the fold's sentinel for
+# patterns that do not hold it
 ORACLE_TERMS = [
     "x", "x es un y", "la x", "barra", "barras", "Ñandú", "ñandú", "É",
-    "a\tb", "ca\nsa",
+    "a\tb", "ca\nsa", "ki\u017f\u03c3", "\u212aI\u03c2\u00b5",
+    "o\u3000\u0131s", "n\x00l",
 ]
 ORACLE_FILLER = [
     "", " ", ". ", "; ", "\n", ", ", "la", "las", "es un", "s son", "y",
     "Ñ", "ñandú", "É", "é", " que es", "define", "ha", "z", "barra",
+    "\x00", "\x01", *"".join(CASE_CLASSES), *EXOTIC_SPACES,
 ]
-WHITESPACE = [" ", "  ", "\t", "\n", " \n\t"]
+WHITESPACE = [" ", "  ", "\t", "\n", " \n\t", *EXOTIC_SPACES]
 CASES = [str, str.lower, str.upper, str.title, str.swapcase]
 
 
 @st.composite
 def respelled(draw, text):
-    """``text``, perhaps cut short, re-cased and re-spaced."""
+    """``text``, perhaps cut short, re-cased and re-spaced, with each
+    character of a case class swapped for any member of it."""
     if draw(st.booleans()):
         text = text[: draw(st.integers(1, len(text)))]
     text = draw(st.sampled_from(CASES))(text)
+    text = "".join(
+        draw(st.sampled_from(CASE_CLASS_OF[ch])) if ch in CASE_CLASS_OF else ch
+        for ch in text
+    )
     return "".join(
         draw(st.sampled_from(WHITESPACE)) if ch.isspace() else ch for ch in text
     )
@@ -305,6 +328,27 @@ def test_scan_equals_per_pattern_oracle(case):
     templates, terms, text = case
     patterns = compile_search_patterns(templates, terms)
     assert scan_text(text, "d", patterns) == reference_scan(text, "d", patterns)
+
+
+def test_fold_is_sre_ignorecase_on_exotic_classes():
+    """x matches pattern character c under IGNORECASE iff both fold alike."""
+    chars = "".join(CASE_CLASSES)
+    patterns = compile_search_patterns([PatternTemplate("<T>s")], [chars + "\x00"])
+    table = _CaseClasses(patterns)
+    for c in chars:
+        for x in chars:
+            same_class = CASE_CLASS_OF[c] == CASE_CLASS_OF[x]
+            assert bool(re.fullmatch(re.escape(c), x, _MATCH_FLAGS)) == same_class
+            assert (x.translate(table) == c.translate(table)) == same_class
+    for space in EXOTIC_SPACES:
+        assert re.fullmatch(r"\s", space, _MATCH_FLAGS) and space.split() == []
+        assert space.translate(table) == " "
+    # a pattern holding "\x00" moves the sentinel: other characters fold
+    # to one that no pattern character folds to
+    folded_pattern = patterns[0].text.translate(table)
+    assert "\x00" in folded_pattern
+    assert {ch.translate(table) for ch in "\x01\u20acz"} == {table.sentinel}
+    assert table.sentinel not in folded_pattern + " "
 
 
 def test_scan_reports_every_pattern_matching_at_one_start():
