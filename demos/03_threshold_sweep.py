@@ -7,6 +7,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from defclust import (
+    ZONES,
     build_dendrogram,
     build_matrix,
     energy_distance_vector,
@@ -44,7 +45,7 @@ for row in rows:
     by_zone[row.zone].append(row)
 
 print("zone summary (averages over the zone's alphas):")
-for zone in ("zone1", "zone2", "zone3", "absolute"):
+for zone in ZONES:
     zrows = by_zone[zone]
     p = sum(r.precision for r in zrows) / len(zrows)
     r = sum(r.recall for r in zrows) / len(zrows)

@@ -39,6 +39,7 @@ from .distance import (
 )
 from .errors import DataError, read_utf8
 from .evaluation import (
+    DEFAULT_GRID,
     SWEEP_CSV_HEADER,
     ZONE_NOTE,
     GoldAnnotation,
@@ -165,7 +166,7 @@ def build_parser() -> _Parser:
         help="gold sense file; default: gold_sense fields of the corpus",
     )
     # no --alpha here: a sweep covers the whole grid
-    sweep.add_argument("--grid", type=_grid_value, default=SweepGrid(), metavar="S:E:STEP")
+    sweep.add_argument("--grid", type=_grid_value, default=DEFAULT_GRID, metavar="S:E:STEP")
     sweep.add_argument("--min-size", type=_positive_int, default=2, metavar="N")
     _add_distance_flags(sweep)
     _add_corpus_flags(sweep)

@@ -59,15 +59,15 @@ positions) through one float division, so the levels are the floats
 that the distinct integers give, and two integers whose floats round to
 the same value share a code.  The distinct integers come from a table
 over 0..max(q) when it has at most n^2 entries, and from sorting the
-upper triangle otherwise.  The float square is built only when asked
-for.
+upper triangle otherwise.  No float square is built.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
-from pathlib import Path
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -178,11 +178,10 @@ class PairwiseDistances:
     ``levels[codes[i, j]]``.  It is ``uint16`` while the levels and one
     sentinel value above them fit in 2 bytes, else ``uint32``; the
     largest value of the dtype is never a code, which leaves it free for
-    ``build_dendrogram`` to mark retired slots.  ``square`` (the float
-    square) and ``values`` (the condensed SciPy view: the upper triangle
-    flattened row-major, (0,1), (0,2), ..., (0,n-1), (1,2), ...,
-    (n-2,n-1)) are built from the codes on each access.
-    ``from_square`` builds the codes of any float square.
+    ``build_dendrogram`` to mark retired slots.  ``values`` (the
+    condensed SciPy view: the upper triangle flattened row-major, (0,1),
+    (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1)) is built from the codes
+    on each access.  ``from_square`` builds the codes of any float square.
     """
 
     codes: np.ndarray
@@ -214,17 +213,14 @@ class PairwiseDistances:
 
     @classmethod
     def from_square(cls, square, ids: tuple[str, ...] | None = None) -> "PairwiseDistances":
-        """Codes of a symmetric array-like in [0, 1] with a zero diagonal."""
+        """Codes of a symmetric array-like in [0, 1] with a zero diagonal.
+
+        Only the range is checked here: distinct floats get distinct codes,
+        whose shape, diagonal and symmetry ``__post_init__`` checks."""
         sq = np.asarray(square, dtype=np.float64)
-        if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
-            raise ValueError(f"pair distances must form a square, got shape {sq.shape}")
         # min/max propagate NaN, which fails both comparisons
         if sq.size and not (float(sq.min()) >= 0.0 and float(sq.max()) <= 1.0):
             raise ValueError("pair distances must lie in [0, 1]")
-        if sq.diagonal().any():
-            raise ValueError("the distance of an item to itself must be 0")
-        if not _is_symmetric(sq):
-            raise ValueError("pair distances must be symmetric")
         levels, _ = _levels_of(np.sort(sq, axis=None))
         codes = np.searchsorted(levels, sq).astype(_code_dtype(levels.size))
         return cls(codes, levels, ids=ids)
@@ -232,11 +228,6 @@ class PairwiseDistances:
     @property
     def n(self) -> int:
         return self.codes.shape[0]
-
-    @property
-    def square(self) -> np.ndarray:
-        """The float64 square ``levels[codes]``, built on each access."""
-        return self.levels[self.codes]
 
     @property
     def values(self) -> np.ndarray:
@@ -404,23 +395,25 @@ def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:
     return list(ids) if ids is not None else [str(i) for i in range(n)]
 
 
-def energy_matrix_to_csv(energy: EnergyMatrix, path: str | Path) -> None:
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def energy_matrix_to_csv(energy: EnergyMatrix) -> str:
     """Debug dump: full energy matrix with document ids as row/col headers."""
     labels = _labels(energy.ids, energy.n)
-    values = energy.values
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([""] + labels)
-        for i, label in enumerate(labels):
-            writer.writerow([label] + [repr(float(v)) for v in values[i]])
+    rows = ([label, *map(repr, row.tolist())] for label, row in zip(labels, energy.values))
+    return _csv_text(chain([["", *labels]], rows))
 
 
-def distances_to_csv(dist: PairwiseDistances, path: str | Path) -> None:
-    """Debug dump: one ``id_i,id_j,distance`` triple per pair, in pair order."""
+def distances_to_csv(dist: PairwiseDistances) -> str:
+    """Debug dump: one ``id_i,id_j,distance`` triple per pair, in pair order,
+    joined from one chunk per row of pairs (it peaks near twice its text)."""
     labels = _labels(dist.ids, dist.n)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id_i", "id_j", "distance"])
-        for i, row in enumerate(dist.codes):
-            for j, value in enumerate(dist.levels[row[i + 1 :]].tolist(), i + 1):
-                writer.writerow([labels[i], labels[j], repr(value)])
+    chunks = [_csv_text([["id_i", "id_j", "distance"]])]
+    for i, row in enumerate(dist.codes):
+        values = map(repr, dist.levels[row[i + 1 :]].tolist())
+        chunks.append(_csv_text(zip(repeat(labels[i]), labels[i + 1 :], values)))
+    return "".join(chunks)

@@ -102,12 +102,6 @@ class GoldAnnotation:
         return cls(sense_of=sense_of)
 
 
-def _ratio_of_total(grouped: int, total: int) -> float:
-    if total < 1:
-        raise ValueError("total document count must be at least 1")
-    return grouped / total
-
-
 def _sense_counts(group: Sequence, gold: GoldAnnotation) -> tuple[list, Counter]:
     """Gold sense of each member of a group, and the count of each sense."""
     labels = []
@@ -120,7 +114,8 @@ def _sense_counts(group: Sequence, gold: GoldAnnotation) -> tuple[list, Counter]
 
 
 def _majority_sense(group: Sequence, gold: GoldAnnotation):
-    """Most frequent gold sense in a group; ties as in identify_intruders."""
+    """Most frequent gold sense in a group; ties on the majority count go to
+    the label of the lowest document id among the tied labels' carriers."""
     labels, counts = _sense_counts(group, gold)
     top = max(counts.values())
     return min(
@@ -129,11 +124,8 @@ def _majority_sense(group: Sequence, gold: GoldAnnotation):
 
 
 def identify_intruders(clustering: Clustering, gold: GoldAnnotation) -> set:
-    """Members whose label conflicts with their group's majority sense.
-
-    Ties on the majority count resolve toward the label of the lowest
-    document id among the tied labels' carriers.
-    """
+    """Members whose label conflicts with their group's majority sense
+    (``_majority_sense``, which also decides the marks of the report)."""
     intruders: set = set()
     for group in clustering.labeled_groups():
         sense = _majority_sense(group, gold)
@@ -151,6 +143,10 @@ def classify_zone(alpha: float) -> str:
     if alpha < 1.00:
         return "zone3"
     return "absolute"
+
+
+MAX_GRID_POINTS = 10**6
+"""Most thresholds a ``SweepGrid`` holds; a finer grid is a ``ValueError``."""
 
 
 def _to_fraction(value) -> Fraction:
@@ -185,6 +181,9 @@ class SweepGrid:
             )
         if self.step <= 0:
             raise ValueError(f"grid step must be positive, got {float(self.step)}")
+        count = self._count()
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid has {count} points, more than {MAX_GRID_POINTS}")
 
     @classmethod
     def parse(cls, text: str) -> "SweepGrid":
@@ -200,9 +199,6 @@ class SweepGrid:
     def _count(self) -> int:
         return (self.end - self.start) // self.step + 1
 
-    def alphas(self) -> list[Fraction]:
-        return [self.start + k * self.step for k in range(self._count())]
-
     def float_alphas(self) -> list[float]:
         """``float(alpha)`` of every grid point, without Fraction arithmetic.
 
@@ -214,7 +210,7 @@ class SweepGrid:
         return [(a * d + k * c * b) / (b * d) for k in range(self._count())]
 
 
-DEFAULT_GRID = SweepGrid("0.01", "1.00", "0.01")
+DEFAULT_GRID = SweepGrid()
 
 
 @dataclass(frozen=True)
@@ -228,10 +224,12 @@ class EvalRow:
 
 def _row(alpha: float, groups: int, grouped: int, majority: int, total: int) -> EvalRow:
     """The row of ``grouped`` of ``total`` documents, ``majority`` in their group's sense."""
+    if total < 1:
+        raise ValueError("total document count must be at least 1")
     return EvalRow(
         alpha=alpha,
         num_groups=groups,
-        recall=_ratio_of_total(grouped, total),
+        recall=grouped / total,
         precision=majority / grouped if grouped else 0.0,
         zone=classify_zone(alpha),
     )

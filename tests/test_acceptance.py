@@ -133,7 +133,7 @@ def test_criterion_1_energy_matches_integer_oracle_exactly():
 def test_criterion_2_cut_matches_naive_stop_early_everywhere():
     """>= 100 instances x all 100 grid alphas against the from-scratch loop."""
     rng = random.Random(2027)
-    alphas = [float(a) for a in DEFAULT_GRID.alphas()]
+    alphas = DEFAULT_GRID.float_alphas()
     started = time.perf_counter()
     instances = 0
     for trial in range(100):
@@ -269,7 +269,8 @@ def test_criterion_6_hamming_baseline_and_metric_axioms():
             [sum(rows[i][a] != rows[j][a] for a in range(p)) for j in range(n)]
             for i in range(n)
         ]
-        values = hamming_distance_vector(np.array(rows)).square
+        dist = hamming_distance_vector(np.array(rows))
+        values = dist.levels[dist.codes]
         for i in range(n):
             assert diff[i][i] == 0
             for j in range(n):

@@ -2,16 +2,17 @@
 
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from defclust.cli import main
-from defclust.distance import PairwiseDistances
 
 CORPUS_LINES = [
     {"id": "a1", "text": "rueda metal brillante acero", "gold_sense": "s:metal", "term": "rueda"},
@@ -254,6 +255,17 @@ def test_sweep_custom_grid(corpus_file, tmp_path, capsys):
 
 def test_sweep_rejects_bad_grid(corpus_file, capsys):
     assert main(["sweep", str(corpus_file), "--grid", "0.5:0.1:0.1"]) == 1
+
+
+def test_sweep_rejects_a_grid_too_fine_to_hold(corpus_file, tmp_path, capsys):
+    out = tmp_path / "fine.csv"
+    assert main(["sweep", str(corpus_file), "--grid", "0.5:1:1e-15", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+    assert "500000000000001 points" in captured.err
+    assert not out.exists()
 
 
 def test_reruns_are_byte_identical(corpus_file, tmp_path, capsys):
@@ -608,10 +620,33 @@ def test_cluster_and_sweep_leave_numpy_ma_unimported(tmp_path):
 
 
 @pytest.mark.parametrize("distance", ["energy", "hamming"])
-def test_cluster_and_sweep_never_build_the_float_square(distance, corpus_file, tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        PairwiseDistances, "square", property(lambda self: pytest.fail("square was built"))
+def test_cluster_and_sweep_peak_below_one_more_float64_square(distance, tmp_path, capsys):
+    # 1000 documents over 20 topics of 25 words and 30 shared ones.  The
+    # run peaks near 9.2 n^2 bytes with energies (the float32 square and
+    # the 2-byte codes) and 7.5 n^2 with Hamming; the float64 square
+    # levels[codes] (8 n^2) next to the codes would take either above 13 n^2.
+    n = 1000
+    rng = random.Random(2030)
+    topics = [[f"w{t:02d}{k:02d}" for k in range(25)] for t in range(20)]
+    shared = [f"g{k:02d}" for k in range(30)]
+    corpus = tmp_path / "topics.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps({
+                "id": f"doc{j:04d}",
+                "text": " ".join(rng.sample(topics[j % 20], rng.randint(5, 9)) + rng.sample(shared, 3)),
+                "gold_sense": f"topic{j % 20}",
+            }) + "\n"
+            for j in range(n)
+        ),
+        encoding="utf-8",
     )
-    common = [str(corpus_file), "--distance", distance]
-    assert main(["cluster", *common, "--alpha", "0.8", "-o", str(tmp_path / "c.json")]) == 0
-    assert main(["sweep", *common, "-o", str(tmp_path / "s.csv")]) == 0
+    common = [str(corpus), "--distance", distance, "-o", str(tmp_path / "out")]
+    for argv in (["cluster", *common, "--alpha", "0.8"], ["sweep", *common]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * n * n, (argv[0], peak / (n * n))

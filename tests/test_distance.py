@@ -11,6 +11,7 @@ used to take before the n x n square became their only layout.
 """
 
 import csv
+import io
 import random
 import tracemalloc
 from unittest import mock
@@ -282,16 +283,14 @@ def test_energy_distances_peak_near_one_float32_square():
         assert peak < squares * n * n
 
 
-def test_float_square_gives_what_its_int64_cast_gives(tmp_path):
+def test_float_square_gives_what_its_int64_cast_gives():
     energy = energy_matrix(build_matrix(topics_documents(300)))
     cast = EnergyMatrix(energy.gram_sq.astype(np.int64), ids=energy.ids)
     assert energy.gram_sq.dtype == np.float32
     assert energy.peak == cast.peak
     assert energy.values.dtype == cast.values.dtype == np.float64
     assert energy.values.tobytes() == cast.values.tobytes()
-    energy_matrix_to_csv(energy, tmp_path / "float.csv")
-    energy_matrix_to_csv(cast, tmp_path / "int64.csv")
-    assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "int64.csv").read_bytes()
+    assert energy_matrix_to_csv(energy) == energy_matrix_to_csv(cast)
     for mode in ("inverted", "raw"):
         got, expected = energy_distance_vector(energy, mode), energy_distance_vector(cast, mode)
         assert np.array_equal(got.codes, expected.codes)
@@ -412,10 +411,12 @@ def test_distances_in_unit_interval_with_zero_at_argmax():
 def test_row_permutation_equivariance():
     rng = np.random.default_rng(17)
     arr = random_binary(rng, 9, 11)
-    base = energy_distance_vector(energy_matrix(arr)).square
+    base = energy_distance_vector(energy_matrix(arr))
     perm = rng.permutation(9)
-    permuted = energy_distance_vector(energy_matrix(arr[perm])).square
-    assert np.array_equal(permuted, base[np.ix_(perm, perm)])
+    permuted = energy_distance_vector(energy_matrix(arr[perm]))
+    assert np.array_equal(
+        permuted.levels[permuted.codes], base.levels[base.codes][np.ix_(perm, perm)]
+    )
 
 
 @st.composite
@@ -459,8 +460,8 @@ def test_square_equals_condensed_reference(arr):
         values, square = condensed_reference(arr, distance)
         assert dist.values.dtype == np.float64
         assert np.array_equal(dist.values, values)
-        assert dist.square.dtype == np.float64
-        assert np.array_equal(dist.square, square)
+        assert dist.levels[dist.codes].dtype == np.float64
+        assert np.array_equal(dist.levels[dist.codes], square)
         assert merge_tuples(dist) == merge_tuples(PairwiseDistances.from_square(square))
 
 
@@ -501,17 +502,28 @@ def test_integers_that_round_to_one_float_share_a_code():
     assert codes.tolist() == [1, 2, 3]
 
 
-def test_pair_reads_do_not_build_the_square(monkeypatch, tmp_path):
-    d = energy_distance_vector(energy_matrix(random_binary(np.random.default_rng(5), 12, 9)))
-    values = d.values
-    monkeypatch.setattr(
-        PairwiseDistances, "square", property(lambda self: pytest.fail("square was built"))
-    )
-    iu = np.triu_indices(d.n, k=1)
-    assert [pair_distance(d, int(i), int(j)) for i, j in zip(*iu)] == values.tolist()
-    distances_to_csv(d, tmp_path / "dist.csv")
-    with (tmp_path / "dist.csv").open(encoding="utf-8", newline="") as handle:
-        assert [float(r[2]) for r in list(csv.reader(handle))[1:]] == values.tolist()
+def test_pair_reads_and_the_pair_dump_build_no_float_square():
+    # The float64 square levels[codes] takes 8 n^2 bytes.  Pair reads need
+    # none of it, and the dump's text (about 13 n^2 characters here) is
+    # joined from one chunk per row of pairs, so it peaks near twice its
+    # size: the square would add over 0.6 times the text.
+    n = 400
+    d = energy_distance_vector(energy_matrix(random_binary(np.random.default_rng(5), n, 40)))
+    iu = np.triu_indices(n, k=1)
+    pairs = list(zip(iu[0].tolist(), iu[1].tolist(), d.values.tolist()))
+    tracemalloc.start()
+    try:
+        assert all(pair_distance(d, i, j) == value for i, j, value in pairs)
+        _, read_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        text = distances_to_csv(d)
+        _, dump_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read_peak < n * n, read_peak / (n * n)
+    assert dump_peak < 2.3 * len(text), dump_peak / len(text)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [(int(i), int(j), float(value)) for i, j, value in rows[1:]] == pairs
 
 
 def test_coded_distances_validation():
@@ -568,7 +580,8 @@ def test_hamming_zero_column_padding_halves_values():
 def test_hamming_metric_axioms_small():
     rng = np.random.default_rng(29)
     arr = random_binary(rng, 6, 8)
-    d = hamming_distance_vector(arr).square
+    dist = hamming_distance_vector(arr)
+    d = dist.levels[dist.codes]
     n = arr.shape[0]
     for i in range(n):
         assert d[i, i] == 0.0
@@ -624,7 +637,7 @@ def test_pair_distance_agrees_with_square_form():
     values = rng.uniform(0, 1, n * (n - 1) // 2)
     d = PairwiseDistances.from_square(squareform(values))
     assert np.array_equal(d.values, values)
-    square = d.square
+    square = d.levels[d.codes]
     assert np.array_equal(square, square.T)
     assert (np.diag(square) == 0).all()
     for i in range(n):
@@ -662,27 +675,25 @@ def test_integer_and_list_squares_are_stored_as_float64():
     rows = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
     for square in (rows, np.array(rows)):
         d = PairwiseDistances.from_square(square)
-        assert d.square.dtype == np.float64
+        assert d.levels[d.codes].dtype == np.float64
         assert d.values.tolist() == [1.0, 1.0, 0.0]
         assert merge_tuples(d) == [(1, 2, 0.0, 3), (0, 3, 1.0, 4)]
 
 
-def test_csv_dumps_round_trip(tmp_path):
+def test_csv_dumps_round_trip():
     arr = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     e = energy_matrix(arr)
     d = energy_distance_vector(e)
 
-    epath = tmp_path / "energy.csv"
-    energy_matrix_to_csv(EnergyMatrix(e.gram_sq, ids=("a", "b", "c")), epath)
-    with epath.open(encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
+    text = energy_matrix_to_csv(EnergyMatrix(e.gram_sq, ids=("a", "b", "c")))
+    assert text.startswith(",a,b,c\na,") and "\r" not in text
+    rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["", "a", "b", "c"]
     assert float(rows[1][2]) == e.values[0, 1]
 
-    dpath = tmp_path / "dist.csv"
-    distances_to_csv(PairwiseDistances.from_square(d.square, ids=("a", "b", "c")), dpath)
-    with dpath.open(encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
+    text = distances_to_csv(PairwiseDistances.from_square(d.levels[d.codes], ids=("a", "b", "c")))
+    assert text.startswith("id_i,id_j,distance\na,b,") and "\r" not in text
+    rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["id_i", "id_j", "distance"]
     assert [r[:2] for r in rows[1:]] == [["a", "b"], ["a", "c"], ["b", "c"]]
     assert [float(r[2]) for r in rows[1:]] == d.values.tolist()

@@ -27,7 +27,7 @@ from defclust import (
     sweep_to_csv,
 )
 from defclust import evaluation
-from defclust.evaluation import DEFAULT_GRID, SWEEP_CSV_HEADER, ZONE_NOTE
+from defclust.evaluation import DEFAULT_GRID, MAX_GRID_POINTS, SWEEP_CSV_HEADER, ZONE_NOTE
 
 
 def clustering_of(groups, ungrouped, alpha=0.5, ids=None):
@@ -190,14 +190,19 @@ def test_zone_rejects_out_of_range():
 def test_zones_partition_the_default_grid():
     from collections import Counter
 
-    counts = Counter(classify_zone(float(a)) for a in DEFAULT_GRID.alphas())
+    counts = Counter(classify_zone(a) for a in DEFAULT_GRID.float_alphas())
     assert counts == {"zone1": 70, "zone2": 15, "zone3": 14, "absolute": 1}
 
 
 # ---------------------------------------------------------------- grid
 
+def exact_alphas(grid):
+    """The grid points start + k*step in Fraction arithmetic."""
+    return [grid.start + k * grid.step for k in range((grid.end - grid.start) // grid.step + 1)]
+
+
 def test_default_grid_is_one_hundred_exact_hundredths():
-    alphas = DEFAULT_GRID.alphas()
+    alphas = exact_alphas(DEFAULT_GRID)
     assert len(alphas) == 100
     assert alphas == [Fraction(k, 100) for k in range(1, 101)]
 
@@ -205,7 +210,7 @@ def test_default_grid_is_one_hundred_exact_hundredths():
 def test_grid_from_floats_does_not_drift():
     # 0.1 + 0.1 + 0.1 != 0.3 in binary floats; the grid must not care
     grid = SweepGrid(0.1, 0.3, 0.1)
-    assert grid.alphas() == [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)]
+    assert exact_alphas(grid) == [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,21 +221,21 @@ def test_grid_from_floats_does_not_drift():
 )
 def test_float_alphas_are_the_rounded_grid_points(start, span, step):
     grid = SweepGrid(start, min(start + span, Fraction(1)), step)
-    assert grid.float_alphas() == [float(a) for a in grid.alphas()]
+    assert grid.float_alphas() == [float(a) for a in exact_alphas(grid)]
 
 
 def test_float_alphas_of_the_default_and_float_grids():
     for grid in (DEFAULT_GRID, SweepGrid(0.1, 0.3, 0.1), SweepGrid("0.001", "1", "0.001")):
-        assert grid.float_alphas() == [float(a) for a in grid.alphas()]
+        assert grid.float_alphas() == [float(a) for a in exact_alphas(grid)]
 
 
 def test_degenerate_grid_yields_single_row():
-    assert SweepGrid("0.5", "0.5", "0.01").alphas() == [Fraction(1, 2)]
+    assert exact_alphas(SweepGrid("0.5", "0.5", "0.01")) == [Fraction(1, 2)]
 
 
 def test_grid_parse_round_trip():
     grid = SweepGrid.parse("0.05:0.95:0.05")
-    assert len(grid.alphas()) == 19
+    assert len(grid.float_alphas()) == 19
 
 
 @pytest.mark.parametrize(
@@ -240,6 +245,18 @@ def test_grid_parse_round_trip():
 def test_grid_parse_rejects_bad_strings(text):
     with pytest.raises(ValueError):
         SweepGrid.parse(text)
+
+
+def test_grid_size_is_capped_from_the_count_alone():
+    # only the point count is computed: 5 * 10^14 floats would not fit in memory
+    assert MAX_GRID_POINTS == 10**6
+    with pytest.raises(ValueError, match="grid has 500000000000001 points, more than 1000000"):
+        SweepGrid.parse("0.5:1:1e-15")
+    step = Fraction(1, MAX_GRID_POINTS)
+    SweepGrid(step, 1, step)  # exactly MAX_GRID_POINTS points
+    step = Fraction(1, MAX_GRID_POINTS + 1)
+    with pytest.raises(ValueError, match="grid has 1000001 points"):
+        SweepGrid(step, 1, step)
 
 
 # ---------------------------------------------------------------- gold files
@@ -343,7 +360,7 @@ def cut_and_score_sweep(tree, total, gold, grid=DEFAULT_GRID, min_size=2):
     """The sweep as one cut and one score per grid point, the definition
     that run_sweep's single replay of the merges must reproduce."""
     rows = []
-    for exact_alpha in grid.alphas():
+    for exact_alpha in exact_alphas(grid):
         clustering = cut_at_threshold(tree, float(exact_alpha), min_size=min_size)
         row = score_clustering(clustering, total, gold)
         # score_clustering counts sum(top); the tie rule's intruder set
@@ -379,7 +396,7 @@ def sweep_cases(draw):
     end = draw(st.integers(start, unit))
     step = draw(st.integers(1, max(1, (end - start) // 3 + 1)))
     grid = SweepGrid(Fraction(start, unit), Fraction(end, unit), Fraction(step, unit))
-    alphas = [float(a) for a in grid.alphas()]
+    alphas = [float(a) for a in exact_alphas(grid)]
     levels = draw(st.lists(st.sampled_from(alphas + [0.0, 1.0, 0.4321]), min_size=1, max_size=4))
     n = draw(st.integers(2, 24))
     heights = sorted(draw(st.lists(st.sampled_from(levels), min_size=n - 1, max_size=n - 1)))
@@ -454,7 +471,7 @@ def test_sweep_csv_keeps_fine_grid_alphas_apart():
     grid = SweepGrid("0.001", "0.01", "0.001")
     rows = [
         EvalRow(alpha=float(a), num_groups=0, recall=0.0, precision=0.0, zone="zone1")
-        for a in grid.alphas()
+        for a in exact_alphas(grid)
     ]
     alphas = [line.split(",")[0] for line in sweep_to_csv(rows).splitlines()[1:]]
     assert alphas == [f"0.00{k}" for k in range(1, 10)] + ["0.01"]

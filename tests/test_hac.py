@@ -342,7 +342,7 @@ def test_topics_corpus_merge_list_matches_argmin_oracle():
         for j in range(400)
     ]
     dist = energy_distance_vector(energy_matrix(build_matrix(docs)))
-    assert merge_tuples(build_dendrogram(dist)) == argmin_dendrogram(dist.square)
+    assert merge_tuples(build_dendrogram(dist)) == argmin_dendrogram(dist.levels[dist.codes])
 
 
 def test_topics_corpus_merge_list_matches_float_loop_at_n1000():
@@ -357,7 +357,7 @@ def test_topics_corpus_merge_list_matches_float_loop_at_n1000():
         for j in range(1000)
     ]
     dist = energy_distance_vector(energy_matrix(build_matrix(docs)))
-    assert merge_tuples(build_dendrogram(dist)) == float_dendrogram(dist.square)
+    assert merge_tuples(build_dendrogram(dist)) == float_dendrogram(dist.levels[dist.codes])
 
 
 def test_build_dendrogram_leaves_the_input_square_untouched():
@@ -365,7 +365,7 @@ def test_build_dendrogram_leaves_the_input_square_untouched():
     before = dist.codes.tobytes()
     build_dendrogram(dist)
     assert dist.codes.tobytes() == before
-    assert not dist.square.diagonal().any()
+    assert not dist.levels[dist.codes].diagonal().any()
 
 
 def test_merge_heights_match_scipy_without_ties():
