@@ -11,36 +11,58 @@ i.e. a matrix product, not an elementwise square.  Documents therefore
 interact both directly (shared vocabulary) and through every third
 document that shares vocabulary with both.
 
+Identical documents have identical rows of X, and so identical rows of
+G and of G G.  ``energy_matrix`` therefore finds the u distinct rows of
+X once, as the u x p matrix U with the class size w_c of each row (the
+number of documents that share it, W = diag(w)), and computes only the
+u x u square of the distinct rows.  Document i reads its energies from
+row ``rows[i]`` of that square.  With H = U U^T, the square is
+
+    (G G)_ab = sum_k G_ak G_kb = M M^T = U (U^T W U) U^T,
+
+where M = H[:, rows] is the u x n block of G that pairs each distinct
+row with every document.  M M^T adds the very terms of the original
+n-term sum, and a term w_c U_ck U_cl of U^T W U adds the w_c equal ones
+that a class holds, so every entry, intermediate value and partial sum
+below is still a sum of non-negative terms of the original sum, and the
+bounds below, in n, hold unchanged.  The rows are shared only when
+2u <= n (see ``_distinct_rows``); otherwise every document keeps its
+own row, u is taken to be n, the weights are left out, and the products
+are those of X itself.
+
 The product runs in floating point, so numpy hands it to BLAS, and the
 result is kept in that float type as ``gram_sq``: every entry is an
 exact integer, so no integer copy is made.  With p terms, the order is
-the one of fewer multiply-adds: X (X^T X) X^T takes 2 n p^2 + n^2 p and
-(X X^T)(X X^T) takes n^2 p + n^3, so the first is taken when
-2 p^2 < n^2.  This is exact integer arithmetic: every cell is 0 or 1, so
-every product term is a non-negative integer, and any partial sum, in
-any blocking, thread split or FMA order, is a sum of a subset of an
-entry's terms and so at most that entry.  The intermediate entries are
-bounded by the result too: (X^T X)_kl <= n, and
-(X X^T X)_ik = sum_m G_im X_mk is at most sum_m G_im^2, the diagonal
-entry gram_sq[i, i].  With t_max the largest number of distinct terms in
-one document, G_im <= t_max, so every entry, intermediate and partial sum
-is at most n * t_max^2.  A float type holds every integer below its
-limit exactly, 2^24 for float32 and 2^53 for float64, so the product runs
-in float32 when n * t_max^2 < 2^24 and in float64 otherwise, and either
-way every entry equals the int64 product.  float32 halves the product's
-memory and about halves its time; it covers, for instance, 4,000
-documents of up to 64 terms each, and then the float32 square (4 n^2
-bytes) and the 2-byte rank codes below are nearly all the memory from
-the product to the distances.  In float64 the bound is only reached at
-n * t_max^2 >= 2^53 (``EXACT_INT_LIMIT``): for instance 10,000
-documents of about 950,000 terms each, far beyond any n x n matrix that
-fits in memory.  ``EnergyMatrix`` checks the computed maximum: rounding
-is monotone, so a maximum below 2^53 also proves that no entry reached
-it, and at or above the limit ``DataError`` is raised.  The Hamming
-count takes the same rule with the bound 2p (``hamming_distance_vector``).
-The 1/2 factor and the max-normalization move to floating point only at
-the distance step (halving and a single division of integers below 2^53
-are exact/correctly rounded, so results are deterministic).
+the one of fewer multiply-adds: U (U^T W U) U^T takes 2 u p^2 + u^2 p,
+and H then M M^T take u^2 p + u^2 n, so the first is taken when
+2 p^2 < u n.  With u = n these are X (X^T X) X^T and (X X^T)(X X^T),
+and the rule is 2 p^2 < n^2.  This is exact integer arithmetic: every
+cell is 0 or 1, so every product term is a non-negative integer, and
+any partial sum, in any blocking, thread split or FMA order, is a sum of
+a subset of an entry's terms and so at most that entry.  The
+intermediate entries are bounded by the result too: (U^T W U)_kl <= n, M_ak <= t_max, and
+(U U^T W U)_ak = sum_c H_ac w_c U_ck is at most sum_c w_c H_ac^2, the
+diagonal entry gram_sq[a, a].  With t_max the largest number of distinct
+terms in one document, H_ac <= t_max, so every entry, intermediate and
+partial sum is at most n * t_max^2, whatever u is.  A float type holds
+every integer below its limit exactly, 2^24 for float32 and 2^53 for
+float64, so the product runs in float32 when n * t_max^2 < 2^24 and in
+float64 otherwise, and either way every entry equals the int64 product.
+float32 halves the product's memory and about halves its time; it
+covers, for instance, 4,000 documents of up to 64 terms each, and then
+the float32 square (4 u^2 bytes) and the 2-byte n x n rank codes below
+are nearly all the memory from the product to the distances.  In
+float64 the bound is only reached at n * t_max^2 >= 2^53
+(``EXACT_INT_LIMIT``): for instance 10,000 documents of about 950,000
+terms each, far beyond any n x n matrix that fits in memory.
+``EnergyMatrix`` checks the computed maximum: rounding is monotone, so a
+maximum below 2^53 also proves that no entry reached it, and at or above
+the limit ``DataError`` is raised.  The Hamming count takes the same
+rule with the bound 2p (``hamming_distance_vector``), over the same
+distinct rows.  The 1/2 factor and the max-normalization move to
+floating point only at the distance step (halving and a single division
+of integers below 2^53 are exact/correctly rounded, so results are
+deterministic).
 
 High shared vocabulary means HIGH energy, so the normalized energy is a
 similarity.  The default ``inverted`` mode returns 1 - normalized energy,
@@ -57,9 +79,13 @@ index of its distance in ``levels``: 2 bytes a pair instead of 8.  Both
 distance kinds come from integers q (energies, or counts of differing
 positions) through one float division, so the levels are the floats
 that the distinct integers give, and two integers whose floats round to
-the same value share a code.  The distinct integers come from a table
-over 0..max(q) when it has at most n^2 entries, and from sorting the
-upper triangle otherwise.  No float square is built.
+the same value share a code.  The pairs of the n documents are the
+pairs (a, b) of distinct rows with a != b, and (a, a) for every row that
+two or more documents share; their distinct integers come from a table
+over 0..max(q) when it has at most u^2 entries, and from sorting those
+entries of the u x u square otherwise.  The n x n codes are then written
+from the u x u square a block of rows at a time, so no n x n float
+square is built, and no code square beside the n x n one.
 """
 
 from __future__ import annotations
@@ -119,26 +145,69 @@ def _exact_float(bound: int) -> type[np.floating]:
     return np.float32 if bound < 2**24 else np.float64
 
 
+def _distinct_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The u distinct rows of ``cells`` in order of first occurrence, and
+    the index among them of each of its n rows; ``cells`` itself and None
+    unless 2u <= n.
+
+    Each row is hashed once, as its cells packed 8 to a byte (any nonzero
+    cell packs as 1); the keys are freed on return.  Sharing rows adds
+    the rows map (8n bytes) and, in each band of the codes, a gather over
+    u columns beside the n-wide one; a float32 square over u = n - 1 rows
+    saves only 8n - 4 bytes.  With 2u <= n every array built from the u
+    rows, each square and each band's temporaries, is at most its
+    counterpart over the n rows, so the energies and distances never take
+    more memory than without sharing.
+    """
+    n = cells.shape[0]
+    packed = np.packbits(cells if cells.dtype.kind in "biu" else cells != 0, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel().tolist() if packed.shape[1] else [b""] * n
+    # read backwards, the last row written for a key is its first
+    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+    if 2 * len(first) > n:
+        return cells, None
+    firsts = np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first)))
+    first_of = np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=n)
+    # each document's first occurrence, ranked among the first occurrences
+    return cells[firsts], np.searchsorted(firsts, first_of)
+
+
 @dataclass(frozen=True)
 class EnergyMatrix:
     """Pairwise interaction-energy magnitudes |e_ij|.
 
-    ``gram_sq`` holds the integer matrix (X X^T)(X X^T), so e_ij =
-    gram_sq[i, j] / 2.  Its entries are exact non-negative integers,
-    held as int64 or as floats (``energy_matrix`` keeps the float type
-    of its product).  It must be symmetric, and every entry must stay
-    below ``EXACT_INT_LIMIT``; ``peak`` is the largest entry.  Whole
-    numbers are checked where the distances read the square.
+    ``gram_sq`` holds the integer matrix (U U^T) W (U U^T) of the u
+    distinct document rows (see the module docstring), and document i
+    has its row ``rows[i]``, so e_ij = gram_sq[rows[i], rows[j]] / 2.
+    ``rows`` of None stands for one row per document.  Its entries are
+    exact non-negative integers, held as int64 or as floats
+    (``energy_matrix`` keeps the float type of its product).  It must be
+    symmetric, every entry must stay below ``EXACT_INT_LIMIT``, and
+    ``rows`` must use every row; ``peak`` is the largest entry, the
+    largest of the n x n energies too.  Whole numbers are checked where
+    the distances read the square.
     """
 
     gram_sq: np.ndarray
     ids: tuple[str, ...] | None = None
+    rows: np.ndarray | None = None
     peak: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = self.gram_sq
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("energy matrix must be square")
+        if self.rows is not None:
+            rows = np.asarray(self.rows)
+            if rows.ndim != 1 or rows.dtype.kind not in "iu":
+                raise ValueError("rows must be a one-dimensional integer array")
+            if rows.size and not (0 <= rows.min() and rows.max() < q.shape[0]):
+                raise ValueError("rows must index rows of the energy matrix")
+            rows = rows.astype(np.intp, copy=False)
+            # an unused row would add its entries to the distance levels
+            if not np.bincount(rows, minlength=q.shape[0]).all():
+                raise ValueError("rows must use every row of the energy matrix")
+            object.__setattr__(self, "rows", rows)
         if not _is_symmetric(q):
             raise ValueError("energy matrix must be symmetric")
         if q.size and q.min() < 0:
@@ -146,21 +215,23 @@ class EnergyMatrix:
         peak = q.max() if q.size else 0
         if peak >= EXACT_INT_LIMIT:
             raise DataError(
-                f"second-order energy {peak} for n={q.shape[0]} documents "
+                f"second-order energy {peak} for n={self.n} documents "
                 f"reaches the exact-integer limit 2^53 = {EXACT_INT_LIMIT}"
             )
-        if self.ids is not None and len(self.ids) != q.shape[0]:
-            raise ValueError("ids length must match the matrix size")
+        if self.ids is not None and len(self.ids) != self.n:
+            raise ValueError("ids length must match the number of documents")
         object.__setattr__(self, "peak", int(peak))
 
     @property
     def n(self) -> int:
-        return self.gram_sq.shape[0]
+        """The number of documents."""
+        return self.gram_sq.shape[0] if self.rows is None else self.rows.size
 
     @property
     def values(self) -> np.ndarray:
-        """Energy magnitudes e_ij as float64 (exact halves of integers)."""
-        return np.divide(self.gram_sq, 2.0, dtype=np.float64)
+        """n x n energy magnitudes e_ij as float64 (exact halves of integers)."""
+        q = self.gram_sq if self.rows is None else self.gram_sq[np.ix_(self.rows, self.rows)]
+        return np.divide(q, 2.0, dtype=np.float64)
 
 
 def _code_dtype(n_levels: int):
@@ -265,6 +336,11 @@ def _integer_levels(
     return levels, codes[::-1]
 
 
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of ``_BLOCK_ROWS`` rows covering 0..n."""
+    return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
+
+
 def _whole_copy(a: np.ndarray, dtype) -> np.ndarray:
     """A copy of ``a`` in the integer ``dtype``, which would truncate a
     fraction; a fraction is a ``ValueError`` instead."""
@@ -274,32 +350,50 @@ def _whole_copy(a: np.ndarray, dtype) -> np.ndarray:
 
 
 def _coded_distances(
-    q: np.ndarray, top: int, divisor: int | None, inverted: bool, ids: tuple[str, ...] | None
+    q: np.ndarray,
+    top: int,
+    divisor: int | None,
+    inverted: bool,
+    ids: tuple[str, ...] | None,
+    rows: np.ndarray | None,
 ) -> PairwiseDistances:
-    """Distances of an n x n square of exact non-negative integers q.
+    """Distances of n documents from a u x u square of exact non-negative
+    integers q over their distinct rows.
 
-    ``top`` is the largest entry of q.  The distance of (i, j) is
-    q[i, j] / divisor (``_integer_levels``); a ``divisor`` of None
-    stands for the largest off-diagonal q.  The diagonal of q is ignored.
-    ``q`` may hold the integers as floats; it is read in blocks of
-    ``_BLOCK_ROWS`` rows, and never cast whole.  q is symmetric, so the
-    upper triangle, read first, is checked for fractions (a
-    ``ValueError``), and the casts of the full rows after it are exact.
+    Document i has row ``rows[i]`` of q; ``rows`` of None stands for
+    row i, and then u = n.  ``top`` is the largest entry of q.  The
+    distance of documents (i, j) is q[rows[i], rows[j]] / divisor
+    (``_integer_levels``); a ``divisor`` of None stands for the largest
+    q of a pair.  The pairs read q at (a, b) with a != b, and at (a, a)
+    for every row a that two or more documents share; the other
+    diagonal entries are ignored.  ``q`` may hold the integers as
+    floats; it is read in blocks of ``_BLOCK_ROWS`` rows, and never cast
+    whole.  q is symmetric, so the upper triangle, read first, is
+    checked for fractions (a ``ValueError``), and the casts of the full
+    rows after it are exact.
     """
-    n = q.shape[0]
-    blocks = [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
-    table = top < n * n
+    u = q.shape[0]
+    n = u if rows is None else rows.size
+    shared = None if rows is None else np.bincount(rows) > 1
+    table = top < u * u
     if table:
         # Each block is read from its diagonal on, which covers the upper
-        # triangle; seen[top + 1] absorbs the diagonal.
+        # triangle; seen[top + 1] absorbs the diagonal, and the diagonal
+        # entries of shared rows are marked after.
         seen = np.zeros(top + 2, dtype=bool)
-        for rows in blocks:
-            block = _whole_copy(q[rows, rows.start :], np.intp)
-            block.ravel()[:: n - rows.start + 1] = top + 1
+        for band in _blocks(u):
+            block = _whole_copy(q[band, band.start :], np.intp)
+            block.ravel()[:: u - band.start + 1] = top + 1
             seen[block] = True
+        if shared is not None:
+            seen[_whole_copy(q.diagonal()[shared], np.intp)] = True
         distinct = np.flatnonzero(seen[:-1])
     else:
-        upper = _whole_copy(q[np.triu(np.ones((n, n), dtype=bool), k=1)], np.int64)
+        pairs = np.triu(np.ones((u, u), dtype=bool), k=1)
+        if shared is not None:
+            np.fill_diagonal(pairs, shared)
+        upper = _whole_copy(q[pairs], np.int64)
+        del pairs
         upper.sort()
         distinct = upper[np.concatenate(([True], upper[1:] != upper[:-1]))]
         del upper
@@ -312,12 +406,17 @@ def _coded_distances(
         lookup[distinct] = ranks
     else:
         lookup = ranks.astype(codes.dtype)
-    for rows in blocks:
-        block = q[rows]
+    for band in _blocks(n):
+        block = q[band] if rows is None else q[rows[band]]
         index = block.astype(np.intp, copy=False) if table else np.searchsorted(distinct, block)
         # a diagonal entry may index past the last rank; it is clipped
-        # here and set to the code of 0.0 below
-        np.take(lookup, index, out=codes[rows], mode="clip")
+        # here and set to the code of 0.0 below (clipping also spares
+        # ``take`` a buffer for ``out``)
+        if rows is None:
+            np.take(lookup, index, out=codes[band], mode="clip")
+        else:
+            coded = lookup.take(index, mode="clip")
+            coded.take(rows, axis=1, out=codes[band], mode="clip")
     np.fill_diagonal(codes, 0)
     return PairwiseDistances(codes, levels, ids=ids)
 
@@ -340,21 +439,33 @@ def energy_matrix(matrix) -> EnergyMatrix:
         raise ValueError("cannot compute energies of an empty collection")
     # every entry, intermediate and partial sum is at most n * t_max^2
     bound = n * int(np.count_nonzero(cells, axis=1).max()) ** 2
-    arr = cells.astype(_exact_float(bound), copy=False)
-    if 2 * p * p < n * n:
-        gram = (arr @ (arr.T @ arr)) @ arr.T
+    distinct, rows = _distinct_rows(cells)
+    u = distinct.shape[0]
+    arr = distinct.astype(_exact_float(bound), copy=False)
+    del distinct
+    if 2 * p * p < u * n:
+        # W U, each distinct row times the number of documents that share it
+        weights = None if rows is None else np.bincount(rows).astype(arr.dtype)[:, None]
+        gram = (arr @ (arr.T @ (arr if weights is None else arr * weights))) @ arr.T
     else:
         gram = arr @ arr.T
-        # X is n x p with p near n in this order: freed before G G is built
+        # U is u x p with p near u or above in this order: freed before
+        # the second product is built
         del arr
-        gram = gram @ gram
-    return EnergyMatrix(gram_sq=gram, ids=ids)
+        if rows is None:
+            gram = gram @ gram
+        else:
+            # H[:, rows], the u x n block of G, frees H as it takes its place
+            gram = gram[:, rows]
+            gram = gram @ gram.T
+    return EnergyMatrix(gram_sq=gram, ids=ids, rows=rows)
 
 
 def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> PairwiseDistances:
     """Max-normalized off-diagonal energies as coded n x n distances.
 
-    The normalization maximum is taken over off-diagonal entries only.
+    The normalization maximum is taken over the energies of document
+    pairs only, which leave out each document's energy with itself.
     ``inverted`` (default) returns 1 - normalized energy so that similar
     documents are close; ``raw`` returns the normalized energy itself.
     Degenerate all-zero energies give all-1 distances in inverted mode
@@ -364,7 +475,9 @@ def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> Pair
         raise ValueError(f"mode must be one of {DISTANCE_MODES}, got {mode!r}")
     if energy.n < 2:
         raise ValueError("need at least two documents to form pairs")
-    return _coded_distances(energy.gram_sq, energy.peak, None, mode == "inverted", energy.ids)
+    return _coded_distances(
+        energy.gram_sq, energy.peak, None, mode == "inverted", energy.ids, energy.rows
+    )
 
 
 def hamming_distance_vector(matrix) -> PairwiseDistances:
@@ -375,20 +488,22 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
         raise ValueError("vectors must have at least one dimension")
     if n < 2:
         raise ValueError("need at least two documents to form pairs")
-    # G_ij <= p, and the in-place -2 G_ij + t_i + t_j below stays within
+    distinct, rows = _distinct_rows(cells)
+    # G_ab <= p, and the in-place -2 G_ab + t_a + t_b below stays within
     # [-2p, 2p]
-    arr = cells.astype(_exact_float(2 * p), copy=False)
+    arr = distinct.astype(_exact_float(2 * p), copy=False)
+    del distinct
     gram = arr @ arr.T
-    # only the n x n product is needed from here on
+    # only the u x u product is needed from here on
     del arr
     # a copy: the diagonal is a view of the buffer overwritten below
     ones = gram.diagonal().copy()
-    # in place on the one n x n buffer, which ends up holding the exact
-    # integer count of differing positions of every pair
+    # in place on the one u x u buffer, which ends up holding the exact
+    # integer count of differing positions of every pair of distinct rows
     gram *= -2
     gram += ones[:, None]
     gram += ones[None, :]
-    return _coded_distances(gram, int(gram.max()), p, False, ids)
+    return _coded_distances(gram, int(gram.max()), p, False, ids, rows)
 
 
 def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:

@@ -125,11 +125,12 @@ class CandidateContext:
 
 def compile_search_patterns(
     templates: Sequence[PatternTemplate], terms: Sequence[str]
-) -> list[SearchPattern]:
+) -> SearchPatternSet:
     """Cross product of templates and terms as search patterns.
 
     Templates-major, terms-minor order; a pattern whose literal text
-    repeats an earlier one is dropped.
+    repeats an earlier one is dropped.  The result is a tuple that also
+    holds what :func:`scan_text` needs of the patterns, built once here.
     """
     if not templates or not terms:
         raise ValueError("need at least one template and one term")
@@ -141,7 +142,7 @@ def compile_search_patterns(
             if pattern.text not in seen:
                 seen.add(pattern.text)
                 out.append(pattern)
-    return out
+    return SearchPatternSet(out)
 
 
 _SENTENCE_END = re.compile(r"[.;\n]")
@@ -186,6 +187,32 @@ class _CaseClasses(dict):
         return folded
 
 
+class SearchPatternSet(tuple):
+    """Search patterns, in order, with the part of :func:`scan_text`
+    that does not depend on the text, built once: the fold ``table``,
+    and for each group of patterns its finder and chooser regexes, the
+    rests of its keys, longest first, and its members by rest."""
+
+    def __new__(cls, patterns: Iterable[SearchPattern]):
+        self = super().__new__(cls, patterns)
+        self.table = _CaseClasses(self)
+        groups: dict[str, dict[str, list[SearchPattern]]] = {}
+        for pattern in self:
+            first, _, rest = " ".join(pattern.text.translate(self.table).split()).partition(" ")
+            groups.setdefault(first, {}).setdefault(rest, []).append(pattern)
+        self.groups = []
+        for first, by_rest in groups.items():
+            rests = sorted(by_rest, key=len, reverse=True)
+            branches = [" +".join(map(re.escape, rest.split(" "))) for rest in rests if rest]
+            head = re.escape(first)
+            # sre factors the literals that branches share only when they
+            # capture nothing, so the search and the choice are two regexes
+            finder = re.compile(head if "" in by_rest else f"{head} +(?:{'|'.join(branches)})")
+            chooser = re.compile(head + "(?: +(?:" + "|".join(f"({b})" for b in branches) + "))?")
+            self.groups.append((finder, chooser, rests, by_rest))
+        return self
+
+
 def scan_text(
     text: str, source_id: str, patterns: Sequence[SearchPattern]
 ) -> list[CandidateContext]:
@@ -193,7 +220,9 @@ def scan_text(
 
     The tail runs from the match to the next ``.``, ``;`` or newline and
     is stripped; it may come out empty when the terminator is adjacent.
-    Results are sorted by span.
+    Results are sorted by span.  Patterns from
+    :func:`compile_search_patterns` are scanned as they are; any other
+    sequence of patterns is made a :class:`SearchPatternSet` first.
 
     The search runs case-sensitively over a folded copy of the text (see
     :class:`_CaseClasses`), where sre skips ahead to each occurrence of a
@@ -229,21 +258,11 @@ def scan_text(
     """
     if not text:
         raise ValueError("text must be non-empty")
-    table = _CaseClasses(patterns)
-    folded = text.translate(table)
-    groups: dict[str, dict[str, list[SearchPattern]]] = {}
-    for pattern in patterns:
-        first, _, rest = " ".join(pattern.text.translate(table).split()).partition(" ")
-        groups.setdefault(first, {}).setdefault(rest, []).append(pattern)
+    if not isinstance(patterns, SearchPatternSet):
+        patterns = SearchPatternSet(patterns)
+    folded = text.translate(patterns.table)
     hits: list[CandidateContext] = []
-    for first, by_rest in groups.items():
-        rests = sorted(by_rest, key=len, reverse=True)
-        branches = [" +".join(map(re.escape, rest.split(" "))) for rest in rests if rest]
-        head = re.escape(first)
-        # sre factors the literals that branches share only when they
-        # capture nothing, so the search and the choice are two regexes
-        finder = re.compile(head if "" in by_rest else f"{head} +(?:{'|'.join(branches)})")
-        chooser = re.compile(head + "(?: +(?:" + "|".join(f"({b})" for b in branches) + "))?")
+    for finder, chooser, rests, by_rest in patterns.groups:
         pos = 0
         while (found := finder.search(folded, pos)) is not None:
             start = found.start()

@@ -121,7 +121,8 @@ def test_criterion_1_energy_matches_integer_oracle_exactly():
         p = rng.randint(1, 30)
         rows = random_binary_rows(rng, n, p)
         expected = oracle_gram_sq(rows)
-        got = energy_matrix(np.array(rows)).gram_sq
+        # 2 e_ij of every pair of the n documents, duplicates included
+        got = 2 * energy_matrix(np.array(rows)).values
         assert got.tolist() == expected
         checked += 1
     elapsed = time.perf_counter() - started

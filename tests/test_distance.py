@@ -121,9 +121,11 @@ def condensed_reference(arr, distance):
 # ---------------------------------------------------------------- energy
 
 def test_energy_identical_pair_worked_example():
-    # two copies of (1,1,0): G = [[2,2],[2,2]], e_12 = (4+4)/2 = 4
+    # two copies of (1,1,0): G = [[2,2],[2,2]], e_12 = (4+4)/2 = 4; the
+    # square holds their one distinct row, with weight 2
     e = energy_matrix(np.array([[1, 1, 0], [1, 1, 0]]))
-    assert e.gram_sq.tolist() == [[8, 8], [8, 8]]
+    assert e.gram_sq.tolist() == [[8]] and e.rows.tolist() == [0, 0]
+    assert (2 * e.values).tolist() == [[8, 8], [8, 8]]
     assert e.values[0, 1] == 4.0
 
 
@@ -155,7 +157,7 @@ def test_energy_matches_quadruple_sum_oracle():
         p = int(rng.integers(1, 7))
         arr = random_binary(rng, n, p)
         expected = quadruple_sum_energy(arr.tolist())
-        got = energy_matrix(arr).gram_sq
+        got = 2 * energy_matrix(arr).values
         assert got.tolist() == expected
 
 
@@ -191,18 +193,31 @@ def test_blas_products_equal_int64_oracle(n, p, density, seed):
     arr = (np.random.default_rng(seed).random((n, p)) < density).astype(np.uint8)
     expected = int64_energy(arr)
     # Zero rows and zero columns leave the energies of the other rows as
-    # they are.  With 2 p^2 < n^2 the product is X (X^T X) X^T, else
-    # (X X^T)(X X^T), so the padded matrices take one order each.  Zero
-    # rows raise n * t_max^2, so they may also move the product to float64.
-    more_rows = np.vstack([arr, np.zeros((2 * p, p), dtype=np.uint8)])
+    # they are, and so do rows over columns of their own.  With u distinct
+    # rows and 2 p^2 < u n the product is U (U^T W U) U^T, else H = U U^T
+    # and then M M^T with M = H[:, rows] (X (X^T X) X^T and G G when
+    # u = n), so the padded matrices take one order each: below arr, 2p
+    # zero rows share one row and 2p + 20 rows are the distinct binary
+    # numbers 1..2p+20 over 10 new columns.  The padding raises
+    # n * t_max^2, so it may also move the product to float64.
+    m = 2 * p + 20
+    numbers = ((np.arange(1, m + 1)[:, None] >> np.arange(10)) & 1).astype(np.uint8)
+    more_rows = np.block(
+        [
+            [arr, np.zeros((n, 10), dtype=np.uint8)],
+            [np.zeros((2 * p, p + 10), dtype=np.uint8)],
+            [np.zeros((m, p), dtype=np.uint8), numbers],
+        ]
+    )
     more_cols = np.hstack([arr, np.zeros((n, n), dtype=np.uint8)])
-    assert 2 * p**2 < more_rows.shape[0] ** 2
-    assert 2 * more_cols.shape[1] ** 2 >= n**2
+    for cells, first_order in ((more_rows, True), (more_cols, False)):
+        u = len(np.unique(cells, axis=0))
+        assert (2 * cells.shape[1] ** 2 < u * len(cells)) == first_order
     for cells in (arr, more_rows, more_cols):
         energy, taken = float_types_taken(energy_matrix, cells)
         assert taken == [energy_float_type(cells)]
         assert energy.gram_sq.dtype == taken[0]
-        assert np.array_equal(energy.gram_sq[:n, :n], expected)
+        assert np.array_equal(2 * energy.values[:n, :n], expected)
 
     ints = arr.astype(np.int64)
     gram = ints @ ints.T
@@ -224,7 +239,7 @@ def test_float_type_switches_at_two_to_the_24():
         arr = np.ones((4, t_max), dtype=np.uint8)
         energy, taken = float_types_taken(energy_matrix, arr)
         assert taken == [float_type]
-        assert np.array_equal(energy.gram_sq, int64_energy(arr))
+        assert np.array_equal(2 * energy.values, int64_energy(arr))
 
 
 def test_float64_above_two_to_the_24_where_float32_rounds():
@@ -404,7 +419,7 @@ def test_distances_in_unit_interval_with_zero_at_argmax():
         assert float(d.values.min()) >= 0.0
         assert float(d.values.max()) <= 1.0
         iu = np.triu_indices(e.n, k=1)
-        if int(e.gram_sq[iu].max()) > 0:
+        if e.values[iu].max() > 0:
             assert float(d.values.min()) == 0.0
 
 
@@ -468,22 +483,177 @@ def test_square_equals_condensed_reference(arr):
 @pytest.mark.parametrize("mode", ["inverted", "raw"])
 def test_table_and_sorted_triangle_give_the_same_codes(mode):
     # q / peak is one correctly rounded ratio, so scaling every energy by
-    # the same integer keeps every distance.  The small energies stay
-    # below n^2 and are ranked through a table over 0..max; the scaled
-    # ones are not, and go through the sorted upper triangle.
+    # the same integer keeps every distance.  The small energies of the u
+    # distinct rows stay below u^2 and are ranked through a table over
+    # 0..max; the scaled ones are not, and go through the sorted upper
+    # triangle.
     arr = (np.random.default_rng(41).random((60, 40)) < 0.06).astype(np.uint8)
-    q = energy_matrix(arr).gram_sq
-    n = len(q)
-    scaled = q * (n * n)
-    assert int(q.max()) < n * n <= int(scaled.max())
-    table = energy_distance_vector(EnergyMatrix(q), mode)
-    triangle = energy_distance_vector(EnergyMatrix(scaled), mode)
+    energy = energy_matrix(arr)
+    q = energy.gram_sq
+    u = len(q)
+    scaled = q * (u * u)
+    assert int(q.max()) < u * u <= int(scaled.max())
+    table = energy_distance_vector(EnergyMatrix(q, rows=energy.rows), mode)
+    triangle = energy_distance_vector(EnergyMatrix(scaled, rows=energy.rows), mode)
     assert table.codes.dtype == triangle.codes.dtype == np.uint16
     assert np.array_equal(table.codes, triangle.codes)
     assert np.array_equal(table.levels, triangle.levels)
     values, square = condensed_reference(arr, mode)
     assert np.array_equal(table.values, values)
     assert np.array_equal(table.levels, np.unique(np.append(square, 0.0)))
+
+
+# ---------------------------------------------------------------- shared rows
+
+def n_by_n_distances(arr, distance, scale=1):
+    """Integer square, codes and levels of every pair of the n documents,
+    the way they were built before documents shared rows: the n x n
+    square in int64, its upper triangle ranked through ``np.unique``."""
+    ints = np.asarray(arr, dtype=np.int64)
+    n, p = ints.shape
+    gram = ints @ ints.T
+    if distance == "hamming":
+        ones = np.diag(gram)
+        q, divisor = ones[:, None] + ones[None, :] - 2 * gram, p
+    else:
+        q, divisor = gram @ gram * scale, None
+    distinct = np.unique(q[np.triu_indices(n, k=1)])
+    levels, ranks = _integer_levels(
+        distinct, int(distinct[-1]) if divisor is None else divisor, distance == "inverted"
+    )
+    index = np.searchsorted(distinct, q)
+    np.fill_diagonal(index, 0)
+    codes = ranks[index]
+    np.fill_diagonal(codes, 0)
+    return q, codes, levels
+
+
+@st.composite
+def pooled_rows(draw):
+    """n rows drawn from a pool of at most 6, so most of them repeat."""
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 16))
+    density = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = (rng.random((draw(st.integers(1, 6)), p)) < density).astype(np.uint8)
+    return pool[rng.integers(0, len(pool), size=n)]
+
+
+# rows 0 to 3 share (1,1,1,0), whose energy with itself, 37, is the
+# largest pair energy: the normalizer comes from a diagonal entry of the
+# square of the 3 distinct rows, whose largest off-diagonal entry is 14
+SHARED_PEAK = np.array([[1, 1, 1, 0]] * 4 + [[1, 0, 0, 1], [0, 0, 0, 1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_rows())
+@example(np.ones((2, 3), dtype=np.uint8))
+@example(np.tile(np.array([1, 0, 1, 1], dtype=np.uint8), (5, 1)))
+@example(np.zeros((4, 3), dtype=np.uint8))
+@example(SHARED_PEAK)
+def test_shared_rows_give_what_the_n_by_n_square_gives(arr):
+    # The table path ranks energies below u^2; scaled by u^2 (every
+    # distance kept, as q / peak is one correctly rounded ratio) a nonzero
+    # square goes through the sorted upper triangle.
+    energy = energy_matrix(arr)
+    u = len(np.unique(arr, axis=0))
+    # documents share rows when at least half of them repeat one
+    assert energy.n == len(arr) and (energy.rows is None) == (2 * u > len(arr))
+    u = len(energy.gram_sq)
+    for distance in ("inverted", "raw", "hamming"):
+        for scale in (1, u * u):
+            if distance == "hamming":
+                if scale > 1:
+                    continue
+                dist = hamming_distance_vector(arr)
+            else:
+                scaled = EnergyMatrix(energy.gram_sq * scale, rows=energy.rows)
+                dist = energy_distance_vector(scaled, distance)
+            q, codes, levels = n_by_n_distances(arr, distance, scale)
+            if distance == "raw":
+                assert np.array_equal(2 * scaled.values, q)
+                assert scaled.peak == int(q.max())
+            assert np.array_equal(dist.codes, codes)
+            assert dist.levels.tobytes() == levels.tobytes()
+            oracle = PairwiseDistances(codes.astype(dist.codes.dtype), levels)
+            assert merge_tuples(dist) == merge_tuples(oracle)
+
+
+def test_shared_row_energy_with_itself_normalizes():
+    energy = energy_matrix(SHARED_PEAK)
+    assert energy.rows.tolist() == [0, 0, 0, 0, 1, 2]
+    assert energy.peak == energy.gram_sq[0, 0] == 37
+    assert int(energy.gram_sq[np.triu_indices(3, k=1)].max()) == 14
+    raw = energy_distance_vector(energy, "raw")
+    assert pair_distance(raw, 0, 1) == 1.0 and pair_distance(raw, 0, 4) == 14 / 37
+
+
+def test_energy_matrix_rows_validation():
+    q = np.array([[8, 2], [2, 3]])
+    energy = EnergyMatrix(q, ids=("a", "b", "c"), rows=np.array([1, 0, 1], dtype=np.uint64))
+    assert energy.n == 3 and energy.rows.dtype == np.intp
+    assert (2 * energy.values).tolist() == [[3, 2, 3], [2, 8, 2], [3, 2, 3]]
+    cases = [
+        (np.array([[0, 1], [1, 0]]), "one-dimensional integer"),
+        (np.array([0.0, 1.0]), "one-dimensional integer"),
+        (np.array([0, 2]), "index rows"),
+        (np.array([-1, 1]), "index rows"),
+        (np.array([0, 0, 0]), "every row"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValueError, match=message):
+            EnergyMatrix(q, rows=rows)
+    with pytest.raises(ValueError, match="number of documents"):
+        EnergyMatrix(q, ids=("a", "b"), rows=np.array([1, 0, 1]))
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def energy_distances(cells):
+    return energy_distance_vector(energy_matrix(cells))
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+def test_one_shared_row_peaks_no_higher_than_none(n):
+    # One repeated row (u = n - 1) must not cost memory over the same
+    # documents with that row told apart; n = 600 takes the G G order,
+    # n = 1000 the X (X^T X) X^T one.
+    shared = build_matrix(topics_documents(n)).data.copy()
+    shared[1] = shared[0]
+    apart = shared.copy()
+    apart[1, np.flatnonzero(apart[1] == 0)[0]] = 1
+    assert len(np.unique(shared, axis=0)) == n - 1 and len(np.unique(apart, axis=0)) == n
+    for call in (energy_distances, hamming_distance_vector):
+        _, shared_peak = traced_peak(call, shared)
+        _, apart_peak = traced_peak(call, apart)
+        assert shared_peak <= apart_peak, call.__name__
+
+
+@pytest.mark.parametrize("p", [20, 200])
+def test_many_shared_rows_peak_near_the_codes(p):
+    # 600 documents over 60 distinct rows: the 2-byte n x n codes, a few
+    # u x u squares, a few hundred bytes per document (the temporaries of
+    # one band of rows, and of the checks on the codes) and a few words
+    # per distance level, where the float32 n x n square alone would take
+    # 4 n^2 bytes and a second code square 2 n^2.  p = 20 takes the
+    # U (U^T W U) U^T order, p = 200 the H then M M^T one.
+    rng = np.random.default_rng(p)
+    pool = (rng.random((60, p)) < 0.1).astype(np.uint8)
+    pool[:, :6] = (np.arange(60)[:, None] >> np.arange(6)) & 1
+    cells = pool[rng.integers(0, 60, size=600)]
+    n, u = 600, len(np.unique(cells, axis=0))
+    assert u == 60
+    for call in (energy_distances, hamming_distance_vector):
+        dist, peak = traced_peak(call, cells)
+        bound = 2 * n * n + 6 * u * u + 256 * n + 64 * dist.levels.size
+        assert peak < bound, (call.__name__, peak / bound)
 
 
 def test_integers_that_round_to_one_float_share_a_code():

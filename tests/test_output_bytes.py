@@ -3,10 +3,13 @@
 Other tests compare outputs with each other or with oracles; these digests
 pin the bytes themselves, raw energy and Hamming included, so a change to
 how distances are stored or walked cannot move them unnoticed.  A change
-meant to alter output bytes re-records the digests and says why.
+meant to alter output bytes re-records the digests and says why.  The
+bundled records written three times over pin the case where many
+documents share one row of the document-term matrix.
 """
 
 import hashlib
+import json
 from importlib import resources
 
 import pytest
@@ -36,23 +39,60 @@ PINNED = {
 }
 
 
+# the same for the bundled records written three times, with new ids
+PINNED_TRIPLED = {
+    "energy": (
+        "18237efcd9ac955eadd5d89ba64ad5000162cfc6fb7d152dabcdf7d404f67aaa",
+        "26481831300707ac5007f8dda4e2e5998d6ceda78ebb6def1d9386eacf948b78",
+    ),
+    "energy-raw": (
+        "8705274b90cc01e068b497fb22e354882975fa0081f640faa439e9637276ca3d",
+        "3c365bc68d30bb3f66ec33e910b1049abe5572903e7a6224fe4181fbd3a94ea9",
+    ),
+    "hamming": (
+        "5868852b3cb8abf358004591377b7f569e3bbaa0dd6d5fba5a2a24e1f7dbf869",
+        "2b2289c3dcff884873e1279f29132a6ee26c1acacc7d483331eb10baf96f7c1f",
+    ),
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("setting", sorted(DISTANCE_FLAGS))
-def test_bundled_corpus_output_bytes_are_pinned(setting, tmp_path, capsys):
-    data = resources.files("defclust.data")
-    corpus = str(data / "synthetic_definitions.jsonl")
-    stopwords = ["--stopwords", str(data / "spanish_stopwords.txt")]
-    flags = DISTANCE_FLAGS[setting]
+def _tripled_corpus(path) -> str:
+    """The bundled records, each followed by two copies under new ids."""
+    lines = resources.files("defclust.data").joinpath("synthetic_definitions.jsonl")
+    with path.open("w", encoding="utf-8") as out:
+        for line in lines.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            for copy in range(3):
+                out.write(json.dumps({**record, "id": f"{record['id']}~{copy}"}) + "\n")
+    return str(path)
+
+
+def _output_digests(corpus, flags, tmp_path) -> tuple[str, str]:
+    """sha256 of the ``sweep`` CSV and the ``cluster --alpha 0.5`` JSON."""
+    stopwords = ["--stopwords", str(resources.files("defclust.data") / "spanish_stopwords.txt")]
     sweep_csv = tmp_path / "sweep.csv"
     cluster_json = tmp_path / "cluster.json"
     assert main(["sweep", corpus, *stopwords, *flags, "-o", str(sweep_csv)]) == 0
     assert main(
         ["cluster", corpus, "--alpha", "0.5", *stopwords, *flags, "-o", str(cluster_json)]
     ) == 0
-    assert (_sha256(sweep_csv), _sha256(cluster_json)) == PINNED[setting]
+    return _sha256(sweep_csv), _sha256(cluster_json)
+
+
+@pytest.mark.parametrize("setting", sorted(DISTANCE_FLAGS))
+def test_bundled_corpus_output_bytes_are_pinned(setting, tmp_path, capsys):
+    corpus = str(resources.files("defclust.data") / "synthetic_definitions.jsonl")
+    assert _output_digests(corpus, DISTANCE_FLAGS[setting], tmp_path) == PINNED[setting]
+
+
+@pytest.mark.parametrize("setting", sorted(DISTANCE_FLAGS))
+def test_tripled_corpus_output_bytes_are_pinned(setting, tmp_path):
+    corpus = _tripled_corpus(tmp_path / "tripled.jsonl")
+    assert _output_digests(corpus, DISTANCE_FLAGS[setting], tmp_path) == PINNED_TRIPLED[setting]
 
 
 EVAL_LINE = (

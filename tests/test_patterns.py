@@ -4,6 +4,7 @@ import json
 import logging
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -349,6 +350,18 @@ def test_fold_is_sre_ignorecase_on_exotic_classes():
     assert "\x00" in folded_pattern
     assert {ch.translate(table) for ch in "\x01\u20acz"} == {table.sentinel}
     assert table.sentinel not in folded_pattern + " "
+
+
+def test_compiled_patterns_scan_without_rebuilding_their_fold():
+    patterns = compile_search_patterns(ORACLE_TEMPLATES, ORACLE_TERMS)
+    assert isinstance(patterns, tuple) and len(patterns) == len(set(patterns))
+    texts = ["La X es un y. Define\tuna BARRA; las ñandús son", "nada", "ha definido la É."]
+    with mock.patch("defclust.patterns._CaseClasses", side_effect=AssertionError("rebuilt")):
+        got = [scan_text(text, "d", patterns) for text in texts]
+    # a plain list of patterns has its fold and regexes built for the call
+    assert got == [scan_text(text, "d", list(patterns)) for text in texts]
+    assert got == [reference_scan(text, "d", patterns) for text in texts]
+    assert [len(hits) for hits in got] == [8, 0, 1]
 
 
 def test_scan_reports_every_pattern_matching_at_one_start():
