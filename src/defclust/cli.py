@@ -27,6 +27,7 @@ from .corpus import (
     CORPUS_FORMATS,
     Tokenizer,
     build_matrix,
+    corpus_to_jsonl,
     load_corpus,
     load_phrases,
     load_stopwords,
@@ -260,20 +261,6 @@ def _load_pairable_corpus(args):
     return docs
 
 
-def _corpus_to_jsonl(docs) -> str:
-    lines = []
-    for doc in docs:
-        record = {"id": doc.id, "text": doc.text}
-        if doc.term is not None:
-            record["term"] = doc.term
-        if doc.def_type is not None:
-            record["def_type"] = doc.def_type
-        if doc.gold_sense is not None:
-            record["gold_sense"] = doc.gold_sense
-        lines.append(json.dumps(record, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
-
-
 def _cmd_extract(args) -> int:
     terms: list[str] = []
     if args.terms:
@@ -293,7 +280,7 @@ def _cmd_extract(args) -> int:
             raise DataError(f"{name}: empty file")
         candidates.extend(scan_text(text, source_id=name, patterns=patterns))
     if args.emit == "corpus":
-        out = _corpus_to_jsonl(candidates_to_corpus(candidates))
+        out = corpus_to_jsonl(candidates_to_corpus(candidates))
     else:
         out = candidates_to_jsonl(candidates)
     _write_output(args.output, out)

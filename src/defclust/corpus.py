@@ -33,6 +33,16 @@ def _phrase_words(phrase: str) -> tuple[str, ...]:
     return tuple(_WORD_RE.findall(phrase.lower()))
 
 
+def sense_label_fault(sense) -> str | None:
+    """Why ``sense`` cannot be a gold sense label (one that can be counted
+    and equals itself, so it can be voted on), or None if it can."""
+    if isinstance(sense, (list, dict)):
+        return "must not be an array or object"
+    if sense != sense:
+        return "must not be NaN"
+    return None
+
+
 @dataclass(frozen=True)
 class Document:
     """One short text with optional metadata.
@@ -57,10 +67,9 @@ class Document:
             raise DataError(f"document {self.id!r} has empty text")
         if self.term is not None and not isinstance(self.term, str):
             raise DataError(f"document {self.id!r}: term must be a string")
-        if isinstance(self.gold_sense, (list, dict)):
-            raise DataError(f"document {self.id!r}: gold_sense must not be an array or object")
-        if self.gold_sense != self.gold_sense:
-            raise DataError(f"document {self.id!r}: gold_sense must not be NaN")
+        fault = sense_label_fault(self.gold_sense)
+        if fault:
+            raise DataError(f"document {self.id!r}: gold_sense {fault}")
         if self.def_type is not None and self.def_type not in DEF_TYPES:
             raise DataError(
                 f"document {self.id!r}: def_type must be one of {DEF_TYPES}, "
@@ -254,6 +263,20 @@ def parse_jsonl_corpus(lines: Iterable[str], origin: str = "<jsonl>") -> list[Do
         seen.add(doc.id)
         docs.append(doc)
     return docs
+
+
+def corpus_to_jsonl(docs: Iterable[Document]) -> str:
+    """JSONL text that ``parse_jsonl_corpus`` reads back as ``docs``: one
+    object per document, without the optional fields that are None."""
+    lines = []
+    for doc in docs:
+        record = {"id": doc.id, "text": doc.text}
+        for field in ("term", "def_type", "gold_sense"):
+            value = getattr(doc, field)
+            if value is not None:
+                record[field] = value
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(lines)
 
 
 def build_matrix(

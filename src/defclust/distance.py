@@ -57,12 +57,13 @@ float64 the bound is only reached at n * t_max^2 >= 2^53
 terms each, far beyond any n x n matrix that fits in memory.
 ``EnergyMatrix`` checks the computed maximum: rounding is monotone, so a
 maximum below 2^53 also proves that no entry reached it, and at or above
-the limit ``DataError`` is raised.  The Hamming count takes the same
-rule with the bound 2p (``hamming_distance_vector``), over the same
-distinct rows.  The 1/2 factor and the max-normalization move to
-floating point only at the distance step (halving and a single division
-of integers below 2^53 are exact/correctly rounded, so results are
-deterministic).
+the limit ``DataError`` is raised.  It takes that maximum in the sweep
+that checks symmetry, sign and whole numbers, so the distances cast the
+entries unchecked.  The Hamming count takes the same rule with the bound
+2p (``hamming_distance_vector``), over the same distinct rows.  The 1/2
+factor and the max-normalization move to floating point only at the
+distance step (halving and a single division of integers below 2^53 are
+exact/correctly rounded, so results are deterministic).
 
 High shared vocabulary means HIGH energy, so the normalized energy is a
 similarity.  The default ``inverted`` mode returns 1 - normalized energy,
@@ -110,17 +111,21 @@ _BLOCK_ROWS = 32
 stay in cache, and no whole-square temporary is made."""
 
 
-def _is_symmetric(square: np.ndarray) -> bool:
-    """``square == square.T``, compared one band of rows at a time.
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of ``_BLOCK_ROWS`` rows covering 0..n."""
+    return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
 
-    Each band meets the matching band of columns, which stays in cache,
-    where a whole transposed read would miss it on every element.
-    """
-    n = square.shape[0]
-    return all(
-        np.array_equal(square[i : i + _BLOCK_ROWS, i:], square[i:, i : i + _BLOCK_ROWS].T)
-        for i in range(0, n, _BLOCK_ROWS)
-    )
+
+def _symmetric_bands(square: np.ndarray, message: str):
+    """Bands of rows of the upper triangle of ``square``, diagonal on, each
+    first compared with its band of columns, which stays in cache where a
+    whole transposed read would miss it on every element; a mismatch is a
+    ``ValueError(message)``.  They hold every value of a symmetric square."""
+    for band in _blocks(square.shape[0]):
+        upper = square[band, band.start :]
+        if not np.array_equal(upper, square[band.start :, band].T):
+            raise ValueError(message)
+        yield upper
 
 
 def _as_binary_array(matrix) -> tuple[np.ndarray, tuple[str, ...] | None]:
@@ -184,8 +189,8 @@ class EnergyMatrix:
     (``energy_matrix`` keeps the float type of its product).  It must be
     symmetric, every entry must stay below ``EXACT_INT_LIMIT``, and
     ``rows`` must use every row; ``peak`` is the largest entry, the
-    largest of the n x n energies too.  Whole numbers are checked where
-    the distances read the square.
+    largest of the n x n energies too.  Symmetry, sign, whole numbers
+    and ``peak`` come from one sweep of ``_symmetric_bands``.
     """
 
     gram_sq: np.ndarray
@@ -208,11 +213,14 @@ class EnergyMatrix:
             if not np.bincount(rows, minlength=q.shape[0]).all():
                 raise ValueError("rows must use every row of the energy matrix")
             object.__setattr__(self, "rows", rows)
-        if not _is_symmetric(q):
-            raise ValueError("energy matrix must be symmetric")
-        if q.size and q.min() < 0:
-            raise ValueError("energy magnitudes must be non-negative")
-        peak = q.max() if q.size else 0
+        peak = 0
+        for upper in _symmetric_bands(q, "energy matrix must be symmetric"):
+            if upper.min() < 0:
+                raise ValueError("energy magnitudes must be non-negative")
+            # the distances cast the square to integers, which would truncate
+            if q.dtype.kind == "f" and not (np.trunc(upper) == upper).all():
+                raise ValueError("pair distances need whole numbers, got a fraction")
+            peak = max(peak, upper.max())
         if peak >= EXACT_INT_LIMIT:
             raise DataError(
                 f"second-order energy {peak} for n={self.n} documents "
@@ -272,13 +280,12 @@ class PairwiseDistances:
         # NaN fails every comparison
         if not (levels[0] == 0.0 and levels[-1] <= 1.0 and (levels[1:] > levels[:-1]).all()):
             raise ValueError("levels must rise strictly from 0.0 and stay within [0, 1]")
-        if codes.size and int(codes.max()) >= levels.size:
-            raise ValueError("every code must index a level")
         if codes.diagonal().any():
             raise ValueError("the distance of an item to itself must be 0")
         # the row-major tie rule of build_dendrogram relies on symmetry
-        if not _is_symmetric(codes):
-            raise ValueError("pair distances must be symmetric")
+        for upper in _symmetric_bands(codes, "pair distances must be symmetric"):
+            if int(upper.max()) >= levels.size:
+                raise ValueError("every code must index a level")
         if self.ids is not None and len(self.ids) != self.n:
             raise ValueError("ids length must match n")
 
@@ -336,19 +343,6 @@ def _integer_levels(
     return levels, codes[::-1]
 
 
-def _blocks(n: int) -> list[slice]:
-    """Consecutive slices of ``_BLOCK_ROWS`` rows covering 0..n."""
-    return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
-
-
-def _whole_copy(a: np.ndarray, dtype) -> np.ndarray:
-    """A copy of ``a`` in the integer ``dtype``, which would truncate a
-    fraction; a fraction is a ``ValueError`` instead."""
-    if a.dtype.kind == "f" and not (np.trunc(a) == a).all():
-        raise ValueError("pair distances need whole numbers, got a fraction")
-    return a.astype(dtype)
-
-
 def _coded_distances(
     q: np.ndarray,
     top: int,
@@ -366,11 +360,10 @@ def _coded_distances(
     (``_integer_levels``); a ``divisor`` of None stands for the largest
     q of a pair.  The pairs read q at (a, b) with a != b, and at (a, a)
     for every row a that two or more documents share; the other
-    diagonal entries are ignored.  ``q`` may hold the integers as
-    floats; it is read in blocks of ``_BLOCK_ROWS`` rows, and never cast
-    whole.  q is symmetric, so the upper triangle, read first, is
-    checked for fractions (a ``ValueError``), and the casts of the full
-    rows after it are exact.
+    diagonal entries are ignored.  ``q`` is an ``EnergyMatrix`` square,
+    which checked its integers, or the Hamming count, exact as built, so
+    every cast of an entry is exact.  It may hold the integers as floats;
+    it is read in blocks of ``_BLOCK_ROWS`` rows, and never cast whole.
     """
     u = q.shape[0]
     n = u if rows is None else rows.size
@@ -382,17 +375,17 @@ def _coded_distances(
         # entries of shared rows are marked after.
         seen = np.zeros(top + 2, dtype=bool)
         for band in _blocks(u):
-            block = _whole_copy(q[band, band.start :], np.intp)
+            block = q[band, band.start :].astype(np.intp)
             block.ravel()[:: u - band.start + 1] = top + 1
             seen[block] = True
         if shared is not None:
-            seen[_whole_copy(q.diagonal()[shared], np.intp)] = True
+            seen[q.diagonal()[shared].astype(np.intp)] = True
         distinct = np.flatnonzero(seen[:-1])
     else:
         pairs = np.triu(np.ones((u, u), dtype=bool), k=1)
         if shared is not None:
             np.fill_diagonal(pairs, shared)
-        upper = _whole_copy(q[pairs], np.int64)
+        upper = q[pairs].astype(np.int64, copy=False)
         del pairs
         upper.sort()
         distinct = upper[np.concatenate(([True], upper[1:] != upper[:-1]))]
@@ -452,12 +445,11 @@ def energy_matrix(matrix) -> EnergyMatrix:
         # U is u x p with p near u or above in this order: freed before
         # the second product is built
         del arr
-        if rows is None:
-            gram = gram @ gram
-        else:
+        if rows is not None:
             # H[:, rows], the u x n block of G, frees H as it takes its place
             gram = gram[:, rows]
-            gram = gram @ gram.T
+        # M M^T, or H H^T = H H when no row is shared; numpy hands A A^T to BLAS syrk
+        gram = gram @ gram.T
     return EnergyMatrix(gram_sq=gram, ids=ids, rows=rows)
 
 

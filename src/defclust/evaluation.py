@@ -36,7 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import jsonl_records, parse_jsonl_corpus
+from .corpus import jsonl_records, parse_jsonl_corpus, sense_label_fault
 from .errors import DataError, read_utf8
 from .hac import Clustering, Dendrogram, check_alpha, cut_at_threshold
 
@@ -92,10 +92,9 @@ class GoldAnnotation:
                 raise DataError(f"{origin}:{lineno}: expected an object with id and sense")
             if not isinstance(record["id"], str):
                 raise DataError(f"{origin}:{lineno}: id must be a string")
-            if isinstance(record["sense"], (list, dict)):
-                raise DataError(f"{origin}:{lineno}: sense must not be an array or object")
-            if record["sense"] != record["sense"]:
-                raise DataError(f"{origin}:{lineno}: sense must not be NaN")
+            fault = sense_label_fault(record["sense"])
+            if fault:
+                raise DataError(f"{origin}:{lineno}: sense {fault}")
             if record["id"] in sense_of:
                 raise DataError(f"{origin}:{lineno}: duplicate id {record['id']!r}")
             sense_of[record["id"]] = record["sense"]
@@ -113,24 +112,23 @@ def _sense_counts(group: Sequence, gold: GoldAnnotation) -> tuple[list, Counter]
     return labels, Counter(labels)
 
 
-def _majority_sense(group: Sequence, gold: GoldAnnotation):
-    """Most frequent gold sense in a group; ties on the majority count go to
-    the label of the lowest document id among the tied labels' carriers."""
+def _sense_and_intruders(group: Sequence, gold: GoldAnnotation) -> tuple[object, set]:
+    """Most frequent gold sense in a group, and the members whose label
+    differs from it; ties on the majority count go to the label of the
+    lowest document id among the tied labels' carriers."""
     labels, counts = _sense_counts(group, gold)
     top = max(counts.values())
-    return min(
+    sense = min(
         (member, label) for member, label in zip(group, labels) if counts[label] == top
     )[1]
+    return sense, {member for member, label in zip(group, labels) if label != sense}
 
 
 def identify_intruders(clustering: Clustering, gold: GoldAnnotation) -> set:
     """Members whose label conflicts with their group's majority sense
-    (``_majority_sense``, which also decides the marks of the report)."""
-    intruders: set = set()
-    for group in clustering.labeled_groups():
-        sense = _majority_sense(group, gold)
-        intruders.update(member for member in group if gold.sense_of[member] != sense)
-    return intruders
+    (``_sense_and_intruders``, which also decides the marks of the report)."""
+    groups = clustering.labeled_groups()
+    return {member for group in groups for member in _sense_and_intruders(group, gold)[1]}
 
 
 def classify_zone(alpha: float) -> str:
@@ -370,9 +368,8 @@ def format_cluster_report(
         header = f"group {k} ({len(members)} members"
         intruders: set = set()
         if gold is not None:
-            sense = _majority_sense(group, gold)
+            sense, intruders = _sense_and_intruders(group, gold)
             header += f", sense={sense}"
-            intruders = {member for member in group if gold.sense_of[member] != sense}
         lines.append(header + ")")
         for member in members:
             flag = "!" if member in intruders else " "

@@ -19,6 +19,7 @@ from defclust import (
     load_stopwords,
     parse_jsonl_corpus,
 )
+from defclust.corpus import corpus_to_jsonl
 from defclust.errors import read_utf8
 
 # word soup for randomized corpora; accents on purpose
@@ -165,6 +166,22 @@ def test_jsonl_non_object_record_rejected():
 def test_jsonl_blank_lines_skipped():
     docs = parse_jsonl_corpus(['{"id":"d1","text":"a"}', "", '{"id":"d2","text":"b"}'])
     assert [d.id for d in docs] == ["d1", "d2"]
+
+
+def test_written_jsonl_corpus_parses_back_to_the_same_documents():
+    docs = [
+        Document(id="d1", text="plain"),
+        Document(id="d2", text="ñandú «pétalo» 花", term="flor", def_type="analytic"),
+        Document(id="d3", text="numeric sense", gold_sense=3),
+        Document(id="d4", text="all", term="t", def_type="functional", gold_sense="s:1"),
+    ]
+    text = corpus_to_jsonl(docs)
+    lines = text.splitlines()
+    assert parse_jsonl_corpus(lines) == docs
+    assert json.loads(lines[0]) == {"id": "d1", "text": "plain"}
+    assert "ñandú «pétalo» 花" in text and text.endswith("}\n")
+    assert list(json.loads(lines[3])) == ["id", "text", "term", "def_type", "gold_sense"]
+    assert json.loads(lines[2])["gold_sense"] == 3
 
 
 def test_load_stopwords_lowercases_and_skips_blanks(tmp_path):

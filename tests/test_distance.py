@@ -33,6 +33,7 @@ from defclust import (
     pair_distance,
 )
 from defclust.distance import (
+    _BLOCK_ROWS,
     DISTANCE_MODES,
     EXACT_INT_LIMIT,
     _exact_float,
@@ -189,6 +190,10 @@ def test_energy_symmetric_nonnegative():
 @example(n=300, p=300, density=1.0, seed=0)
 @example(n=300, p=300, density=0.02, seed=1)
 @example(n=120, p=300, density=1.0, seed=3)
+# G G over rows that are all distinct (rows of None), in float32 and in
+# float64 (300 * t_max^2 >= 2^24 at density 0.9)
+@example(n=300, p=300, density=0.5, seed=0)
+@example(n=300, p=300, density=0.9, seed=0)
 def test_blas_products_equal_int64_oracle(n, p, density, seed):
     arr = (np.random.default_rng(seed).random((n, p)) < density).astype(np.uint8)
     expected = int64_energy(arr)
@@ -716,6 +721,135 @@ def test_coded_distances_validation():
         with pytest.raises(ValueError, match=message):
             PairwiseDistances(bad_codes, bad_levels)
     assert PairwiseDistances(codes.astype(np.uint32), levels).values.tolist() == [0.5]
+
+
+def separate_energy_checks(q):
+    """The checks of an energy square as separate whole-square passes, in
+    their order before they shared one sweep: the symmetry, sign and limit
+    of ``EnergyMatrix``, then the whole numbers that the distances read;
+    the peak."""
+    if not np.array_equal(q, q.T):
+        raise ValueError("energy matrix must be symmetric")
+    if q.min() < 0:
+        raise ValueError("energy magnitudes must be non-negative")
+    peak = q.max()
+    if peak >= EXACT_INT_LIMIT:
+        raise DataError(
+            f"second-order energy {peak} for n={q.shape[0]} documents "
+            f"reaches the exact-integer limit 2^53 = {EXACT_INT_LIMIT}"
+        )
+    if q.dtype.kind == "f" and not (np.trunc(q) == q).all():
+        raise ValueError("pair distances need whole numbers, got a fraction")
+    return int(peak)
+
+
+def separate_code_checks(codes, levels):
+    """The checks of a code square as separate whole-square passes, in
+    their order before they shared one sweep."""
+    if int(codes.max()) >= levels.size:
+        raise ValueError("every code must index a level")
+    if codes.diagonal().any():
+        raise ValueError("the distance of an item to itself must be 0")
+    if not np.array_equal(codes, codes.T):
+        raise ValueError("pair distances must be symmetric")
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def planted_cell(rng, n, off_diagonal):
+    """A cell (i, j) with row i in a random band of ``_BLOCK_ROWS`` rows."""
+    start = _BLOCK_ROWS * int(rng.integers(-(-n // _BLOCK_ROWS)))
+    i = int(rng.integers(start, min(start + _BLOCK_ROWS, n)))
+    j = (i + 1 + int(rng.integers(n - 1))) % n if off_diagonal else int(rng.integers(n))
+    return i, j
+
+
+FLOAT_FAULTS = {"fraction": 0.5, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+
+
+# n up to 80 makes three bands of 32 rows, the last one partial
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    dtype=st.sampled_from([np.int64, np.float32, np.float64]),
+    fault=st.sampled_from([None, "asymmetry", "negative", "limit", *FLOAT_FAULTS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=80, dtype=np.float32, fault="fraction", seed=0)
+@example(n=80, dtype=np.float64, fault="nan", seed=1)
+@example(n=65, dtype=np.int64, fault="limit", seed=2)
+@example(n=33, dtype=np.float32, fault=None, seed=3)
+def test_one_energy_sweep_raises_what_the_separate_checks_raise(n, dtype, fault, seed):
+    if fault == "asymmetry" and n == 1:
+        fault = "negative"
+    if fault in FLOAT_FAULTS and dtype is np.int64:
+        dtype = np.float64
+    rng = np.random.default_rng(seed)
+    q = rng.integers(0, 1000, size=(n, n))
+    q = (q + q.T).astype(dtype)
+    i, j = planted_cell(rng, n, off_diagonal=fault == "asymmetry")
+    if fault == "asymmetry":
+        q[i, j] += 1
+    elif fault == "negative":
+        q[i, j] = q[j, i] = -1
+    elif fault == "limit":
+        q[i, j] = q[j, i] = EXACT_INT_LIMIT
+    elif fault is not None:
+        q[i, j] = q[j, i] = q[i, j] + FLOAT_FAULTS[fault]
+    expected = outcome(separate_energy_checks, q)
+    assert outcome(lambda square: EnergyMatrix(square).peak, q) == expected
+    assert isinstance(expected, int) == (fault is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    n_levels=st.integers(2, 300),
+    dtype=st.sampled_from([np.uint16, np.uint32]),
+    fault=st.sampled_from([None, "asymmetry", "past the levels", "diagonal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=80, n_levels=5, dtype=np.uint16, fault="asymmetry", seed=0)
+@example(n=80, n_levels=5, dtype=np.uint32, fault="past the levels", seed=1)
+@example(n=70, n_levels=2, dtype=np.uint16, fault="diagonal", seed=2)
+def test_one_code_sweep_raises_what_the_separate_checks_raise(n, n_levels, dtype, fault, seed):
+    if fault != "diagonal" and n == 1:
+        fault = "diagonal"
+    rng = np.random.default_rng(seed)
+    levels = np.linspace(0.0, 1.0, n_levels)
+    codes = np.triu(rng.integers(0, n_levels, size=(n, n)), k=1).astype(dtype)
+    codes += codes.T
+    i, j = planted_cell(rng, n, off_diagonal=fault != "diagonal")
+    if fault == "asymmetry":
+        codes[i, j] = (codes[i, j] + 1) % n_levels
+    elif fault == "past the levels":
+        codes[i, j] = codes[j, i] = n_levels + rng.integers(3)
+    elif fault == "diagonal":
+        codes[i, i] = rng.integers(1, n_levels)
+
+    def checks(codes, levels):
+        PairwiseDistances(codes, levels)
+
+    expected = outcome(separate_code_checks, codes, levels)
+    assert outcome(checks, codes, levels) == expected
+    assert (expected is None) == (fault is None)
+
+
+def test_energy_checks_hold_one_band_of_temporaries_at_a_time():
+    # a whole-square temporary, such as np.trunc(q) == q, takes 5 n^2 bytes
+    n = 1000
+    half = np.random.default_rng(0).integers(0, 2**20, size=(n, n))
+    q = (half + half.T).astype(np.float32)
+    del half
+    energy, peak = traced_peak(EnergyMatrix, q)
+    assert energy.peak == int(q.max())
+    assert peak < 8 * _BLOCK_ROWS * n, peak / (_BLOCK_ROWS * n)
 
 
 def test_distance_mode_and_size_validation():
