@@ -232,11 +232,15 @@ def _tokenizer_from(args) -> Tokenizer:
 
 def _dendrogram(args, docs):
     """Complete-linkage tree of ``docs`` under the tokenizer and distance flags."""
-    matrix = build_matrix(docs, _tokenizer_from(args))
+    # no name holds the tokenizer, the matrix or the energy, so each is
+    # freed once the next stage has read it
     if args.distance == "hamming":
-        dist = hamming_distance_vector(matrix)
+        dist = hamming_distance_vector(build_matrix(docs, _tokenizer_from(args)))
     else:
-        dist = energy_distance_vector(energy_matrix(matrix), mode=args.distance_mode)
+        dist = energy_distance_vector(
+            energy_matrix(build_matrix(docs, _tokenizer_from(args))),
+            mode=args.distance_mode,
+        )
     return build_dendrogram(dist)
 
 

@@ -257,10 +257,12 @@ class PairwiseDistances:
     ``levels[codes[i, j]]``.  It is ``uint16`` while the levels and one
     sentinel value above them fit in 2 bytes, else ``uint32``; the
     largest value of the dtype is never a code, which leaves it free for
-    ``build_dendrogram`` to mark retired slots.  ``values`` (the
-    condensed SciPy view: the upper triangle flattened row-major, (0,1),
-    (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1)) is built from the codes
-    on each access.  ``from_square`` builds the codes of any float square.
+    ``build_dendrogram`` to mark retired slots.  That loop works in the
+    codes in place, so they are kept C-contiguous and writable: read-only
+    or Fortran-ordered codes are copied.  ``values`` (the condensed SciPy
+    view: the upper triangle flattened row-major, (0,1), (0,2), ...,
+    (0,n-1), (1,2), ..., (n-2,n-1)) is built from the codes on each
+    access.  ``from_square`` builds the codes of any float square.
     """
 
     codes: np.ndarray
@@ -268,7 +270,9 @@ class PairwiseDistances:
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        codes, levels = self.codes, self.levels
+        codes = np.require(self.codes, requirements="CW")
+        object.__setattr__(self, "codes", codes)
+        levels = self.levels
         if codes.ndim != 2 or codes.shape[0] != codes.shape[1]:
             raise ValueError(f"pair distances must form a square, got shape {codes.shape}")
         if codes.dtype not in (np.uint16, np.uint32):

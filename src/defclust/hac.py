@@ -46,6 +46,14 @@ come up, one to three times per merge on the bundled and generated
 corpora, which makes the loop O(n^2) in typical use; a worst case that
 rescans every row at every merge is still O(n^3).
 
+The loop works in place on the codes and needs no working copy of them.
+The distance of the groups in slots i < j sits at ``d[i, j]``: the loop
+writes only the strict upper triangle and the diagonal, and reads the
+lower triangle only while the codes are still symmetric, at the start.
+When it returns or raises, it copies the lower triangle back over the
+upper one and resets the diagonal to 0, so the codes end byte for byte
+as they began; in between, another thread must not read them.
+
 Threshold comparison is inclusive (<= alpha) and exact: no epsilon is
 applied, since distances arrive as deterministic values from the
 distance module and an epsilon would silently move zone boundaries.
@@ -144,61 +152,94 @@ def check_alpha(alpha) -> float:
 def build_dendrogram(dist: PairwiseDistances) -> Dendrogram:
     """Agglomerate all items under complete linkage.
 
-    Runs on a copy of ``dist.codes`` with maximum-update (Lance-Williams
+    Runs in place on ``dist.codes`` with maximum-update (Lance-Williams
     for complete linkage): after merging clusters a and b, the distance
     of the union to any other cluster is max(d(a, .), d(b, .)).  The next
     pair comes from the cached nearest neighbours described in the module
-    docstring, and its height is ``dist.levels`` at its code; ``dist``
-    itself is not modified.
+    docstring, and its height is ``dist.levels`` at its code.  The loop
+    writes only the strict upper triangle and the diagonal of the codes,
+    and on return or on an exception restores them from the lower
+    triangle, so ``dist`` ends as it began; it is not safe against another
+    thread reading ``dist.codes`` meanwhile.
     """
     n = dist.n
     if n < 2:
         raise ValueError("need at least two items to cluster")
-    d = dist.codes.copy()
+    d = dist.codes
     retired = np.iinfo(d.dtype).max
-    np.fill_diagonal(d, retired)
-    rows = np.arange(n)
-    first = d.argmin(axis=1)
-    # The minimum over the whole row bounds the one to the right from
-    # below.  Where it lies left of the diagonal, nn[i] = i points at the
-    # retired diagonal, so the row reads as stale until it is rescanned.
-    nnd = d[rows, first]
-    nnd[n - 1] = retired
-    nn = np.maximum(first, rows).tolist()
     heights = dist.levels.tolist()
     cluster_id = list(range(n))
     merges = []
-    for new_id in range(n, 2 * n - 1):
-        a = int(nnd.argmin())
-        while d.item(a, nn[a]) != nnd.item(a):
-            right = d[a, a + 1 :]
-            j = int(right.argmin())
-            nn[a] = a + 1 + j
-            nnd[a] = right[j]
+    try:
+        np.fill_diagonal(d, retired)
+        rows = np.arange(n)
+        first = d.argmin(axis=1)
+        # The minimum over the whole row bounds the one to the right from
+        # below.  Where it lies left of the diagonal, nn[i] = i points at the
+        # retired diagonal, so the row reads as stale until it is rescanned.
+        nnd = d[rows, first]
+        nnd[n - 1] = retired
+        nn = np.maximum(first, rows).tolist()
+        for new_id in range(n, 2 * n - 1):
             a = int(nnd.argmin())
-        b = nn[a]
-        # a keeps the merged cluster, b goes inactive; d[a, a] stays
-        # retired because the maximum with d[a, a] is taken
-        merged_row = d[a]
-        np.maximum(merged_row, d[b], out=merged_row)
-        d[:, a] = merged_row
-        # Only the rows above b scan column b again.  Through later
-        # merges, the rest of row and column b flows only into row b and
-        # into column b below the diagonal, which no scan reads.
-        d[:b, b] = retired
-        merges.append(
-            Merge(
-                left=cluster_id[a],
-                right=cluster_id[b],
-                distance=heights[nnd.item(a)],
-                new_id=new_id,
+            while d.item(a, nn[a]) != nnd.item(a):
+                right = d[a, a + 1 :]
+                j = int(right.argmin())
+                nn[a] = a + 1 + j
+                nnd[a] = right[j]
+                a = int(nnd.argmin())
+            b = nn[a]
+            # a keeps the merged cluster, b goes inactive; the distance of
+            # slots i < j sits at d[i, j], so a's entries against k < a, a <
+            # k < b and k > b each take the maximum with b's
+            above = d[:a, a]
+            np.maximum(above, d[:a, b], out=above)
+            between = d[a, a + 1 : b]
+            np.maximum(between, d[a + 1 : b, b], out=between)
+            after = d[a, b + 1 :]
+            np.maximum(after, d[b, b + 1 :], out=after)
+            # Only the rows above b scan column b again.  Through later
+            # merges, row b flows only into itself and into the retired
+            # column b, and no scan reads it.
+            d[:b, b] = retired
+            merges.append(
+                Merge(
+                    left=cluster_id[a],
+                    right=cluster_id[b],
+                    distance=heights[nnd.item(a)],
+                    new_id=new_id,
+                )
             )
-        )
-        nnd[b] = retired
-        cluster_id[a] = new_id
+            nnd[b] = retired
+            cluster_id[a] = new_id
+    finally:
+        _restore_upper(d)
     # Dendrogram.__post_init__ re-checks that distances are non-decreasing,
     # which complete linkage guarantees.
     return Dendrogram(n=n, merges=tuple(merges), ids=dist.ids)
+
+
+_RESTORE_ROWS, _RESTORE_COLS = 128, 1024
+"""Tile that ``_restore_upper`` copies at a time: wide enough to keep the
+calls few, short enough that its transposed read stays in cache (whole
+bands of rows read 4 times slower at n=4000)."""
+
+
+def _restore_upper(d: np.ndarray) -> None:
+    """Copy the lower triangle of the square ``d`` over the upper one and
+    set the diagonal to 0, tile by tile: the tiles right of each band's
+    diagonal block are the transposes of the tiles below it."""
+    n = d.shape[0]
+    upper = np.tri(_RESTORE_ROWS, k=-1, dtype=bool).T
+    for start in range(0, n, _RESTORE_ROWS):
+        band = slice(start, start + _RESTORE_ROWS)
+        block = d[band, band]
+        size = len(block)
+        np.copyto(block, block.T, where=upper[:size, :size])
+        for col in range(start + size, n, _RESTORE_COLS):
+            cols = slice(col, col + _RESTORE_COLS)
+            d[band, cols] = d[cols, band].T
+    np.fill_diagonal(d, 0)
 
 
 def cut_at_threshold(

@@ -19,7 +19,7 @@ from defclust import (
     load_stopwords,
     parse_jsonl_corpus,
 )
-from defclust.corpus import corpus_to_jsonl
+from defclust.corpus import check_binary_cells, corpus_to_jsonl
 from defclust.errors import read_utf8
 
 # word soup for randomized corpora; accents on purpose
@@ -470,6 +470,25 @@ def test_binary_check_accepts_what_isin_accepts(cells):
         else:
             with pytest.raises(ValueError, match="^matrix cells must be exactly 0 or 1$"):
                 call()
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        np.array([[0, 256]], dtype=np.uint16),
+        np.array([[1, 0], [0, 1]], dtype=np.uint16),
+        np.zeros((0, 3), dtype=np.uint8),
+        np.array([[True, True], [False, True]]),
+    ],
+    ids=["uint16-256", "uint16", "no-rows", "bool"],
+)
+def test_binary_check_by_maximum_accepts_what_isin_accepts(cells):
+    # unsigned and bool cells are decided by their maximum alone
+    if np.isin(cells, (0, 1)).all():
+        check_binary_cells(cells)
+    else:
+        with pytest.raises(ValueError, match="^matrix cells must be exactly 0 or 1$"):
+            check_binary_cells(cells)
 
 
 def test_matrix_rejects_all_zero_row():

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,7 @@ from defclust import (
     energy_distance_vector,
     energy_matrix,
 )
+from defclust import hac
 from defclust.hac import check_alpha, dendrogram_to_csv
 
 
@@ -366,6 +368,75 @@ def test_build_dendrogram_leaves_the_input_square_untouched():
     build_dendrogram(dist)
     assert dist.codes.tobytes() == before
     assert not dist.levels[dist.codes].diagonal().any()
+
+
+@st.composite
+def coded_tie_heavy_squares(draw):
+    """Coded k/q squares in uint16 or uint32, some of them past 128 rows,
+    where the restore of the codes moves on to its next band of rows."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(129, 300)))
+    q = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    square = np.zeros((n, n))
+    square[np.triu_indices(n, k=1)] = rng.integers(0, q + 1, size=n * (n - 1) // 2) / q
+    dist = PairwiseDistances.from_square(square + square.T)
+    return as_uint32(dist) if draw(st.booleans()) else dist
+
+
+@settings(max_examples=60, deadline=None)
+@given(coded_tie_heavy_squares())
+def test_build_dendrogram_restores_the_codes_it_works_in(dist):
+    before = dist.codes.tobytes()
+    merges = merge_tuples(build_dendrogram(dist))
+    assert dist.codes.tobytes() == before
+    assert merges == float_dendrogram(dist.levels[dist.codes])
+
+
+@pytest.mark.parametrize("fail_at", [0, 7, 198])
+def test_build_dendrogram_restores_the_codes_when_a_merge_raises(monkeypatch, fail_at):
+    dist = PairwiseDistances.from_square(random_square(np.random.default_rng(73), 200, discrete=True))
+    before = dist.codes.tobytes()
+    made = []
+
+    def failing_merge(**fields):
+        if len(made) == fail_at:
+            raise RuntimeError("merge failed")
+        made.append(fields)
+        return Merge(**fields)
+
+    monkeypatch.setattr(hac, "Merge", failing_merge)
+    with pytest.raises(RuntimeError, match="merge failed"):
+        build_dendrogram(dist)
+    assert dist.codes.tobytes() == before
+
+
+def test_build_dendrogram_makes_no_copy_of_the_codes():
+    # a working copy of the 2-byte codes would trace 2 n^2 bytes; the loop
+    # keeps a few words per item and per merge
+    n = 1000
+    dist = PairwiseDistances.from_square(random_square(np.random.default_rng(79), n, discrete=True))
+    assert dist.codes.dtype == np.uint16
+    tracemalloc.start()
+    try:
+        build_dendrogram(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 2, peak
+
+
+@pytest.mark.parametrize("layout", ["read-only", "fortran"])
+def test_codes_the_loop_cannot_write_in_are_copied(layout):
+    dist = PairwiseDistances.from_square(random_square(np.random.default_rng(83), 40, discrete=True))
+    if layout == "fortran":
+        codes = np.asfortranarray(dist.codes)
+    else:
+        codes = dist.codes.copy()
+        codes.flags.writeable = False
+    held = PairwiseDistances(codes, dist.levels)
+    assert held.codes.flags.c_contiguous and held.codes.flags.writeable
+    assert merge_tuples(build_dendrogram(held)) == merge_tuples(build_dendrogram(dist))
+    assert np.array_equal(codes, dist.codes)
 
 
 def test_merge_heights_match_scipy_without_ties():

@@ -21,8 +21,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def python_blocks():
     text = README.read_text(encoding="utf-8")
     return [
-        pytest.param(match.group(1), id=f"line{text.count(chr(10), 0, match.start()) + 1}")
-        for match in re.finditer(r"^```python\n(.*?)^```", text, re.S | re.M)
+        pytest.param(match.group(1), id=f"block{k}")
+        for k, match in enumerate(re.finditer(r"^```python\n(.*?)^```", text, re.S | re.M), 1)
     ]
 
 
