@@ -200,6 +200,8 @@ class EnergyMatrix:
 
     def __post_init__(self) -> None:
         q = self.gram_sq
+        if not isinstance(q, np.ndarray) or q.dtype.kind not in "biuf":
+            raise ValueError("energy matrix must be a bool, integer or float array")
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("energy matrix must be square")
         if self.rows is not None:
@@ -277,7 +279,10 @@ class PairwiseDistances:
             raise ValueError(f"pair distances must form a square, got shape {codes.shape}")
         if codes.dtype not in (np.uint16, np.uint32):
             raise ValueError(f"codes must be uint16 or uint32, got {codes.dtype}")
-        if levels.dtype != np.float64 or levels.ndim != 1 or levels.size == 0:
+        if not (
+            isinstance(levels, np.ndarray)
+            and levels.dtype == np.float64 and levels.ndim == 1 and levels.size
+        ):
             raise ValueError("levels must be a non-empty one-dimensional float64 array")
         if levels.size > np.iinfo(codes.dtype).max:
             raise ValueError(f"{levels.size} levels leave no sentinel in {codes.dtype}")

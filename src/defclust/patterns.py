@@ -14,10 +14,11 @@ carries ``verified=False`` until some later judgment.
 
 Scanning costs one pass over the text per leading word of the search
 patterns, not one per template×term, and each pass is a case-sensitive
-literal search: the text is first folded, one character for one, onto
-a representative of each case class of the pattern characters, so case
-and whitespace are settled once per text.  The hits are exactly those of
-one IGNORECASE search loop per pattern (see :func:`scan_text`).
+literal search with one regex: the text is first folded, one character
+for one, onto a representative of each case class of the pattern
+characters, so case and whitespace are settled once per text, and each
+hit's key and span are read from the folded match.  The hits are exactly
+those of one IGNORECASE search loop per pattern (see :func:`scan_text`).
 """
 
 from __future__ import annotations
@@ -79,26 +80,20 @@ class PatternTemplate:
 _MATCH_FLAGS = re.IGNORECASE | re.UNICODE
 
 
-def _flexible_regex(text: str) -> re.Pattern:
-    # Literal substring match, except any whitespace run matches any other.
-    parts = [re.escape(chunk) for chunk in text.split()]
-    return re.compile(r"\s+".join(parts), _MATCH_FLAGS)
-
-
 @dataclass(frozen=True)
 class SearchPattern:
-    """A template instantiated with a concrete term, compiled for scanning."""
+    """A template instantiated with a concrete term; ``text`` is the
+    literal that a scan matches, case-insensitively and with any
+    whitespace run matching any other."""
 
     template: PatternTemplate
     term: str
     text: str = field(init=False)
-    regex: re.Pattern = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.term or not self.term.strip():
             raise DataError("search-pattern term must be non-empty")
         object.__setattr__(self, "text", self.template.instantiate(self.term))
-        object.__setattr__(self, "regex", _flexible_regex(self.text))
 
 
 @dataclass(frozen=True)
@@ -190,26 +185,25 @@ class _CaseClasses(dict):
 class SearchPatternSet(tuple):
     """Search patterns, in order, with the part of :func:`scan_text`
     that does not depend on the text, built once: the fold ``table``,
-    and for each group of patterns its finder and chooser regexes, the
-    rests of its keys, longest first, and its members by rest."""
+    and for each leading word its finder regex and its members by key."""
 
     def __new__(cls, patterns: Iterable[SearchPattern]):
         self = super().__new__(cls, patterns)
         self.table = _CaseClasses(self)
         groups: dict[str, dict[str, list[SearchPattern]]] = {}
         for pattern in self:
-            first, _, rest = " ".join(pattern.text.translate(self.table).split()).partition(" ")
-            groups.setdefault(first, {}).setdefault(rest, []).append(pattern)
+            key = " ".join(pattern.text.translate(self.table).split())
+            groups.setdefault(key.partition(" ")[0], {}).setdefault(key, []).append(pattern)
         self.groups = []
-        for first, by_rest in groups.items():
-            rests = sorted(by_rest, key=len, reverse=True)
-            branches = [" +".join(map(re.escape, rest.split(" "))) for rest in rests if rest]
-            head = re.escape(first)
-            # sre factors the literals that branches share only when they
-            # capture nothing, so the search and the choice are two regexes
-            finder = re.compile(head if "" in by_rest else f"{head} +(?:{'|'.join(branches)})")
-            chooser = re.compile(head + "(?: +(?:" + "|".join(f"({b})" for b in branches) + "))?")
-            self.groups.append((finder, chooser, rests, by_rest))
+        for first, by_key in groups.items():
+            branches = [
+                " +".join(map(re.escape, key.split(" ")[1:]))
+                for key in sorted(by_key, key=len, reverse=True) if key != first
+            ]
+            finder = re.escape(first)
+            if branches:
+                finder += f"(?: +(?:{'|'.join(branches)})){'?' if first in by_key else ''}"
+            self.groups.append((re.compile(finder), by_key))
         return self
 
 
@@ -230,8 +224,9 @@ def scan_text(
     Each pattern folds to a key, its folded words joined by one space,
     and patterns are grouped by the first word of their key.  A group is
     searched in one pass for that word followed by the alternation of the
-    rest of its keys, each space made `` +``; a group holding the bare
-    word is searched for the word alone.
+    rest of its keys, longest first, each space made `` +``; the tail is
+    optional when the group holds the bare word, and absent when that is
+    its only key.
 
     Exactness.  sre's one-character IGNORECASE test is an equivalence: a
     pattern character ``c`` that sre treats as cased matches exactly the
@@ -251,10 +246,12 @@ def scan_text(
     group matches, since the alternation tries every branch at a position
     before moving on.  Every key that matches there is a prefix of the
     folded text from that start with its space runs collapsed, so those
-    keys are prefixes of one another.  With the longest keys first, one
-    captured alternation names the longest that matches, and only members
-    whose keys prefix it are tried; each member's own ``regex.match`` on
-    the original text gives the span it emits.
+    keys are prefixes of one another, and the first branch to match, the
+    one sre takes, gives the longest of them: the folded match with its
+    space runs collapsed.  The members that match are those whose keys
+    prefix it.  A key of ``c`` non-space characters ends just after the
+    ``c``-th non-space character of the folded match, and the fold keeps
+    offsets, so that is also its end in ``text``.
     """
     if not text:
         raise ValueError("text must be non-empty")
@@ -262,25 +259,26 @@ def scan_text(
         patterns = SearchPatternSet(patterns)
     folded = text.translate(patterns.table)
     hits: list[CandidateContext] = []
-    for finder, chooser, rests, by_rest in patterns.groups:
+    for finder, by_key in patterns.groups:
         pos = 0
         while (found := finder.search(folded, pos)) is not None:
             start = found.start()
-            chosen = chooser.match(folded, start).lastindex
-            rest = rests[chosen - 1] if chosen else ""
-            for end in range(len(rest) + 1):
-                for pattern in by_rest.get(rest[:end], ()):
-                    match = pattern.regex.match(text, start)
-                    if match is not None:
-                        hits.append(
-                            CandidateContext(
-                                source_id=source_id,
-                                span=(start, match.end()),
-                                term=pattern.term,
-                                matched_pattern=pattern.template,
-                                tail=_tail_after(text, match.end()),
-                            )
+            matched = found.group()
+            longest = " ".join(matched.split())
+            ends = [start + i + 1 for i, ch in enumerate(matched) if ch != " "]
+            for cut in range(1, len(longest) + 1):
+                key = longest[:cut]
+                for pattern in by_key.get(key, ()):
+                    end = ends[cut - key.count(" ") - 1]
+                    hits.append(
+                        CandidateContext(
+                            source_id=source_id,
+                            span=(start, end),
+                            term=pattern.term,
+                            matched_pattern=pattern.template,
+                            tail=_tail_after(text, end),
                         )
+                    )
             # step one character, not past the match, so overlapping
             # occurrences are all found
             pos = start + 1

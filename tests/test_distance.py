@@ -14,6 +14,7 @@ import csv
 import io
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -381,6 +382,19 @@ def test_energy_matrix_type_validation():
         EnergyMatrix(gram_sq=np.array([[0, -1], [-1, 0]]))
     with pytest.raises(ValueError, match="ids"):
         EnergyMatrix(gram_sq=np.zeros((2, 2), dtype=np.int64), ids=("a",))
+    # no kind of square is cast, truncated or accepted with a warning
+    wrong_kinds = [
+        np.array([[0, 1 + 2j], [1 + 2j, 0]]),
+        np.array([[0, 1], [1, 0]], dtype=object),
+        np.array([["0", "1"], ["1", "0"]]),
+        np.array([[0, 1], [1, 0]], dtype="m8[s]"),
+        [[0, 1], [1, 0]],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for square in wrong_kinds:
+            with pytest.raises(ValueError, match="bool, integer or float array"):
+                EnergyMatrix(gram_sq=square)
 
 
 # ---------------------------------------------------------------- distances
@@ -977,6 +991,12 @@ def test_pairwise_distances_validation():
     for square, ids, message in cases:
         with pytest.raises(ValueError, match=message):
             PairwiseDistances.from_square(square, ids=ids)
+    codes = np.array([[0, 1], [1, 0]], dtype=np.uint16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for levels in ([0.0, 0.5], (0.0, 0.5)):
+            with pytest.raises(ValueError, match="one-dimensional float64 array"):
+                PairwiseDistances(codes, levels)
 
 
 def test_integer_and_list_squares_are_stored_as_float64():

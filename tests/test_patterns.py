@@ -227,9 +227,10 @@ def reference_scan(text, source_id, patterns):
     """The plain scan: one search loop over the whole text per pattern."""
     hits = []
     for pattern in patterns:
+        regex = re.compile(r"\s+".join(map(re.escape, pattern.text.split())), _MATCH_FLAGS)
         pos = 0
         while True:
-            match = pattern.regex.search(text, pos)
+            match = regex.search(text, pos)
             if match is None:
                 break
             hits.append(
@@ -376,6 +377,38 @@ def test_scan_reports_every_pattern_matching_at_one_start():
         ((3, 10), "x"),
         ((3, 18), "x es un y"),
     ]
+    # members that share a start end at different offsets of one folded
+    # match, across runs of mixed whitespace
+    text = "La \t X\n es  UN y es un z."
+    got = scan_text(text, "d", patterns)
+    assert got == reference_scan(text, "d", patterns)
+    assert [(c.span, c.term) for c in got] == [
+        ((0, 14), "x"),
+        ((0, 22), "x es un y"),
+        ((5, 14), "x"),
+        ((5, 22), "x es un y"),
+    ]
+    # a bare word is found alone too, where no longer key on it matches
+    templates = [PatternTemplate("<T>s"), PatternTemplate("<T> es un")]
+    patterns = compile_search_patterns(templates, ["barra", "barras"])
+    text = "BARRAS; barras\tes un perfil."
+    got = scan_text(text, "d", patterns)
+    assert got == reference_scan(text, "d", patterns)
+    assert [(c.span, c.term) for c in got] == [
+        ((0, 6), "barra"),
+        ((8, 14), "barra"),
+        ((8, 20), "barras"),
+    ]
+
+
+def test_compile_builds_one_regex_per_leading_word():
+    templates = default_templates()
+    terms = [f"término{k}" for k in range(40)]
+    with mock.patch("defclust.patterns.re.compile", wraps=re.compile) as spy:
+        compile_search_patterns(templates, terms)
+    leading_words = {template.surface.split()[0] for template in templates}
+    # one finder per leading word, and one regex for the fold classes
+    assert spy.call_count == len(leading_words) + 1 == 7
 
 
 # ---------------------------------------------------------------- candidates
