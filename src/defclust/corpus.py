@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -292,30 +293,38 @@ def build_matrix(
 ) -> BinaryDocTermMatrix:
     """Binary presence/absence matrix of ``docs`` over their union vocabulary.
 
-    Each document is tokenized once.  Columns are the distinct tokens in
+    Each document is tokenized once, and each token is numbered at its
+    first occurrence in the collection, so a document keeps only the
+    column numbers of its tokens.  Columns are the distinct tokens in
     code-point order, so the column layout does not depend on document
-    order; row j always corresponds to ``docs[j]``.
+    order; row j always corresponds to ``docs[j]``.  The vocabulary is
+    sorted once, the first-occurrence numbers map to columns through one
+    rank array, and the cells are written through one flat index array.
     """
     if not docs:
         raise ValueError("cannot build a dictionary from an empty collection")
     tok = tokenizer if tokenizer is not None else Tokenizer()
-    token_sets = [set(tok.doc_tokens(doc)) for doc in docs]
-    terms = tuple(sorted(set().union(*token_sets)))
-    if not terms:
+    number: dict[str, int] = {}
+    numbered = [[number.setdefault(t, len(number)) for t in tok.doc_tokens(doc)] for doc in docs]
+    if not number:
         raise DataError("all documents tokenized to nothing")
     ids = tuple(doc.id for doc in docs)
     if len(set(ids)) != len(ids):
         raise DataError("document ids must be unique within a collection")
-    for doc, tokens in zip(docs, token_sets):
+    for doc, tokens in zip(docs, numbered):
         if not tokens:
             raise DataError(f"document {doc.id!r} tokenized to nothing")
+    terms = tuple(sorted(number))
     width = len(terms)
-    column = {term: i for i, term in enumerate(terms)}
-    data = np.zeros((len(docs), width), dtype=np.uint8)
+    column = np.empty(width, dtype=np.intp)
+    column[[number[term] for term in terms]] = np.arange(width)
+    del number
     # cell (j, c) sits at flat index j * width + c of the C-ordered array
-    np.put(
-        data,
-        [j * width + column[token] for j, tokens in enumerate(token_sets) for token in tokens],
-        1,
-    )
+    counts = np.fromiter(map(len, numbered), dtype=np.intp, count=len(docs))
+    cells = np.fromiter(chain.from_iterable(numbered), dtype=np.intp, count=int(counts.sum()))
+    del numbered
+    flat = column[cells]
+    flat += np.repeat(np.arange(0, len(docs) * width, width), counts)
+    data = np.zeros((len(docs), width), dtype=np.uint8)
+    data.ravel()[flat] = 1
     return BinaryDocTermMatrix(data=data, doc_ids=ids, terms=terms)

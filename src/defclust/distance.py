@@ -18,29 +18,30 @@ number of documents that share it, W = diag(w)), and computes only the
 u x u square of the distinct rows.  Document i reads its energies from
 row ``rows[i]`` of that square.  With H = U U^T, the square is
 
-    (G G)_ab = sum_k G_ak G_kb = M M^T = U (U^T W U) U^T,
+    (G G)_ab = sum_k G_ak G_kb = sum_c H_ac w_c H_cb,
 
-where M = H[:, rows] is the u x n block of G that pairs each distinct
-row with every document.  M M^T adds the very terms of the original
-n-term sum, and a term w_c U_ck U_cl of U^T W U adds the w_c equal ones
-that a class holds, so every entry, intermediate value and partial sum
-below is still a sum of non-negative terms of the original sum, and the
-bounds below, in n, hold unchanged.  The rows are shared only when
-2u <= n (see ``_distinct_rows``); otherwise every document keeps its
-own row, u is taken to be n, the weights are left out, and the products
-are those of X itself.
+that is H W H = U (U^T W U) U^T.  A term H_ac (w_c H_cb) of H (W H)
+adds as one the w_c equal terms of the original n-term sum whose
+document k lies in class c, and a term w_c U_ck U_cl of U^T W U adds
+the w_c equal ones that a class holds, so every entry, intermediate
+value and partial sum below is still a sum of non-negative terms of
+the original sum, and the bounds below, in n, hold unchanged.  The
+rows are shared only when 2u <= n (see ``_distinct_rows``); otherwise
+every document keeps its own row, u is taken to be n, the weights are
+left out, and the products are those of X itself.
 
 The product runs in floating point, so numpy hands it to BLAS, and the
 result is kept in that float type as ``gram_sq``: every entry is an
 exact integer, so no integer copy is made.  With p terms, the order is
 the one of fewer multiply-adds: U (U^T W U) U^T takes 2 u p^2 + u^2 p,
-and H then M M^T take u^2 p + u^2 n, so the first is taken when
-2 p^2 < u n.  With u = n these are X (X^T X) X^T and (X X^T)(X X^T),
-and the rule is 2 p^2 < n^2.  This is exact integer arithmetic: every
-cell is 0 or 1, so every product term is a non-negative integer, and
-any partial sum, in any blocking, thread split or FMA order, is a sum of
-a subset of an entry's terms and so at most that entry.  The
-intermediate entries are bounded by the result too: (U^T W U)_kl <= n, M_ak <= t_max, and
+and H then H (W H) takes u^2 p + u^3, so the first is taken when
+2 p^2 < u^2.  With u = n these are X (X^T X) X^T and (X X^T)(X X^T),
+and then G G runs as G G^T, which numpy hands to BLAS syrk.  This is
+exact integer arithmetic: every cell is 0 or 1, so every product term
+is a non-negative integer, and any partial sum, in any blocking, thread
+split or FMA order, is a sum of a subset of an entry's terms and so at
+most that entry.  The intermediate entries are bounded by the result
+too: (U^T W U)_kl <= n, (W H)_cb = w_c H_cb <= n * t_max, and
 (U U^T W U)_ak = sum_c H_ac w_c U_ck is at most sum_c w_c H_ac^2, the
 diagonal entry gram_sq[a, a].  With t_max the largest number of distinct
 terms in one document, H_ac <= t_max, so every entry, intermediate and
@@ -50,8 +51,8 @@ float64, so the product runs in float32 when n * t_max^2 < 2^24 and in
 float64 otherwise, and either way every entry equals the int64 product.
 float32 halves the product's memory and about halves its time; it
 covers, for instance, 4,000 documents of up to 64 terms each, and then
-the float32 square (4 u^2 bytes) and the 2-byte n x n rank codes below
-are nearly all the memory from the product to the distances.  In
+the float32 square (4 u^2 bytes) and the n x n rank codes below are
+nearly all the memory from the product to the distances.  In
 float64 the bound is only reached at n * t_max^2 >= 2^53
 (``EXACT_INT_LIMIT``): for instance 10,000 documents of about 950,000
 terms each, far beyond any n x n matrix that fits in memory.
@@ -76,17 +77,19 @@ Pair distances are stored as rank codes.  Complete linkage only compares
 distances and takes their maxima, so any strictly increasing relabelling
 of them gives the same merges.  ``levels`` lists the distinct float64
 distances in increasing order, and ``codes`` holds, for every pair, the
-index of its distance in ``levels``: 2 bytes a pair instead of 8.  Both
-distance kinds come from integers q (energies, or counts of differing
-positions) through one float division, so the levels are the floats
-that the distinct integers give, and two integers whose floats round to
-the same value share a code.  The pairs of the n documents are the
-pairs (a, b) of distinct rows with a != b, and (a, a) for every row that
-two or more documents share; their distinct integers come from a table
-over 0..max(q) when it has at most u^2 entries, and from sorting those
-entries of the u x u square otherwise.  The n x n codes are then written
-from the u x u square a block of rows at a time, so no n x n float
-square is built, and no code square beside the n x n one.
+index of its distance in ``levels``: 1 byte a pair while the levels
+and a sentinel above them fit in one (at most 255 levels), else 2, or
+4 past 65,535 levels, instead of 8.  Both distance kinds come from
+integers q (energies, or counts of differing positions) through one
+float division, so the levels are the floats that the distinct integers
+give, and two integers whose floats round to the same value share a
+code.  The pairs of the n documents are the pairs (a, b) of distinct
+rows with a != b, and (a, a) for every row that two or more documents
+share; their distinct integers come from a table over 0..max(q) when it
+has at most u^2 entries, and from sorting those entries of the u x u
+square otherwise.  The n x n codes are then written from the u x u
+square a block of rows at a time, so no n x n float square is built,
+and no code square beside the n x n one.
 """
 
 from __future__ import annotations
@@ -245,7 +248,10 @@ class EnergyMatrix:
 
 
 def _code_dtype(n_levels: int):
-    """uint16 while the codes and one sentinel above them fit, else uint32."""
+    """The smallest of uint8, uint16 and uint32 that holds the codes
+    0..n_levels-1 and one sentinel above them."""
+    if n_levels < 2**8:
+        return np.uint8
     return np.uint16 if n_levels < 2**16 else np.uint32
 
 
@@ -256,15 +262,16 @@ class PairwiseDistances:
     ``levels`` holds the distinct float64 distances in increasing order,
     starting with the 0.0 of the diagonal.  ``codes`` is the n x n square
     of their indices, so the distance of (i, j) is
-    ``levels[codes[i, j]]``.  It is ``uint16`` while the levels and one
-    sentinel value above them fit in 2 bytes, else ``uint32``; the
-    largest value of the dtype is never a code, which leaves it free for
-    ``build_dendrogram`` to mark retired slots.  That loop works in the
-    codes in place, so they are kept C-contiguous and writable: read-only
-    or Fortran-ordered codes are copied.  ``values`` (the condensed SciPy
-    view: the upper triangle flattened row-major, (0,1), (0,2), ...,
-    (0,n-1), (1,2), ..., (n-2,n-1)) is built from the codes on each
-    access.  ``from_square`` builds the codes of any float square.
+    ``levels[codes[i, j]]``.  It is ``uint8`` while the levels and one
+    sentinel value above them fit in 1 byte, ``uint16`` while they fit
+    in 2, else ``uint32`` (``_code_dtype``); the largest value of the
+    dtype is never a code, which leaves it free for ``build_dendrogram``
+    to mark retired slots.  That loop works in the codes in place, so
+    they are kept C-contiguous and writable: read-only or Fortran-ordered
+    codes are copied.  ``values`` (the condensed SciPy view: the upper
+    triangle flattened row-major, (0,1), (0,2), ..., (0,n-1), (1,2), ...,
+    (n-2,n-1)) is built from the codes on each access.  ``from_square``
+    builds the codes of any bool, integer or float square.
     """
 
     codes: np.ndarray
@@ -277,8 +284,8 @@ class PairwiseDistances:
         levels = self.levels
         if codes.ndim != 2 or codes.shape[0] != codes.shape[1]:
             raise ValueError(f"pair distances must form a square, got shape {codes.shape}")
-        if codes.dtype not in (np.uint16, np.uint32):
-            raise ValueError(f"codes must be uint16 or uint32, got {codes.dtype}")
+        if codes.dtype not in (np.uint8, np.uint16, np.uint32):
+            raise ValueError(f"codes must be uint8, uint16 or uint32, got {codes.dtype}")
         if not (
             isinstance(levels, np.ndarray)
             and levels.dtype == np.float64 and levels.ndim == 1 and levels.size
@@ -302,9 +309,14 @@ class PairwiseDistances:
     def from_square(cls, square, ids: tuple[str, ...] | None = None) -> "PairwiseDistances":
         """Codes of a symmetric array-like in [0, 1] with a zero diagonal.
 
-        Only the range is checked here: distinct floats get distinct codes,
-        whose shape, diagonal and symmetry ``__post_init__`` checks."""
-        sq = np.asarray(square, dtype=np.float64)
+        Only the kind and the range are checked here: distinct floats get
+        distinct codes, whose shape, diagonal and symmetry ``__post_init__``
+        checks.  A square of any kind but bool, integer or float (complex,
+        object, str) is a ``ValueError``, not cast."""
+        sq = np.asarray(square)
+        if sq.dtype.kind not in "biuf":
+            raise ValueError(f"pair distances must be bool, integer or float, got {sq.dtype}")
+        sq = sq.astype(np.float64, copy=False)
         # min/max propagate NaN, which fails both comparisons
         if sq.size and not (float(sq.min()) >= 0.0 and float(sq.max()) <= 1.0):
             raise ValueError("pair distances must lie in [0, 1]")
@@ -439,26 +451,24 @@ def energy_matrix(matrix) -> EnergyMatrix:
     n, p = cells.shape
     if n == 0:
         raise ValueError("cannot compute energies of an empty collection")
-    # every entry, intermediate and partial sum is at most n * t_max^2
-    bound = n * int(np.count_nonzero(cells, axis=1).max()) ** 2
     distinct, rows = _distinct_rows(cells)
     u = distinct.shape[0]
+    # every entry, intermediate and partial sum is at most n * t_max^2;
+    # counted over the distinct rows, the count's bool temporary is u x p
+    bound = n * int(np.count_nonzero(distinct, axis=1).max()) ** 2
     arr = distinct.astype(_exact_float(bound), copy=False)
     del distinct
-    if 2 * p * p < u * n:
-        # W U, each distinct row times the number of documents that share it
-        weights = None if rows is None else np.bincount(rows).astype(arr.dtype)[:, None]
+    # W, the number of documents that share each distinct row, as a column
+    weights = None if rows is None else np.bincount(rows).astype(arr.dtype)[:, None]
+    if 2 * p * p < u * u:
         gram = (arr @ (arr.T @ (arr if weights is None else arr * weights))) @ arr.T
     else:
         gram = arr @ arr.T
         # U is u x p with p near u or above in this order: freed before
         # the second product is built
         del arr
-        if rows is not None:
-            # H[:, rows], the u x n block of G, frees H as it takes its place
-            gram = gram[:, rows]
-        # M M^T, or H H^T = H H when no row is shared; numpy hands A A^T to BLAS syrk
-        gram = gram @ gram.T
+        # H H^T = H H when no row is shared, which numpy hands to BLAS syrk
+        gram = gram @ (gram.T if weights is None else gram * weights)
     return EnergyMatrix(gram_sq=gram, ids=ids, rows=rows)
 
 

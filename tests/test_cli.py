@@ -623,8 +623,9 @@ def test_cluster_and_sweep_leave_numpy_ma_unimported(tmp_path):
 def test_cluster_and_sweep_peak_below_one_more_float64_square(distance, tmp_path, capsys):
     # 1000 documents over 20 topics of 25 words and 30 shared ones.  The
     # run peaks near 9.2 n^2 bytes with energies (the float32 square and
-    # the 2-byte codes) and 7.5 n^2 with Hamming; the float64 square
-    # levels[codes] (8 n^2) next to the codes would take either above 13 n^2.
+    # the 2-byte codes of its 712 levels) and 7.1 n^2 with Hamming (1-byte
+    # codes); the float64 square levels[codes] (8 n^2) next to the codes
+    # would take either above 13 n^2.
     n = 1000
     rng = random.Random(2030)
     topics = [[f"w{t:02d}{k:02d}" for k in range(25)] for t in range(20)]

@@ -361,6 +361,37 @@ def reference_build_matrix(docs, tokenizer=None):
     return data, terms, ids
 
 
+def set_build_matrix(docs, tokenizer=None):
+    """The builder that held one set of token strings per document, sorted
+    their union and wrote each cell through a list of flat indices.
+
+    Returns ``(data, terms, doc_ids)``; its errors, and their order, are
+    the ones ``build_matrix`` must raise.
+    """
+    if not docs:
+        raise ValueError("cannot build a dictionary from an empty collection")
+    tok = tokenizer if tokenizer is not None else Tokenizer()
+    token_sets = [set(tok.doc_tokens(doc)) for doc in docs]
+    terms = tuple(sorted(set().union(*token_sets)))
+    if not terms:
+        raise DataError("all documents tokenized to nothing")
+    ids = tuple(doc.id for doc in docs)
+    if len(set(ids)) != len(ids):
+        raise DataError("document ids must be unique within a collection")
+    for doc, tokens in zip(docs, token_sets):
+        if not tokens:
+            raise DataError(f"document {doc.id!r} tokenized to nothing")
+    width = len(terms)
+    column = {term: i for i, term in enumerate(terms)}
+    data = np.zeros((len(docs), width), dtype=np.uint8)
+    np.put(
+        data,
+        [j * width + column[token] for j, tokens in enumerate(token_sets) for token in tokens],
+        1,
+    )
+    return data, terms, ids
+
+
 def _outcome(build, docs, tok):
     try:
         return build(docs, tok)
@@ -368,9 +399,11 @@ def _outcome(build, docs, tok):
         return type(exc), str(exc)
 
 
-# accents, upper case, punctuation-only pieces, stopword and phrase words
+# accents, upper case, punctuation-only pieces, stopword and phrase words;
+# pieces are drawn with replacement, so tokens repeat within a document
 PIECES = WORDS + (
-    "Célula", "LUZ", "la", "de", "república", "República Francesa", "la luz", "¿?", "...",
+    "Célula", "LUZ", "Ñandú", "ÑANDÚ", "la", "de", "república", "República Francesa",
+    "la luz", "¿?", "...",
 )
 
 docs_strategy = st.lists(
@@ -411,17 +444,22 @@ tokenizer_strategy = st.builds(
     [Document(id="1", text="luz"), Document(id="2", text="la de"), Document(id="3", text="?")],
     Tokenizer(stopwords=frozenset({"la", "de"})),
 )
+@example(
+    [Document(id="a", text="Ñandú ñandú luz ÑANDÚ luz", term="luz"), Document(id="b", text="ñandú")],
+    Tokenizer(drop_term=True),
+)
 def test_build_matrix_equals_two_pass_reference(docs, tok):
     got = _outcome(build_matrix, docs, tok)
-    want = _outcome(reference_build_matrix, docs, tok)
-    if isinstance(want[0], type):
-        assert got == want
-        return
-    data, terms, ids = want
-    assert got.data.dtype == np.uint8
-    assert np.array_equal(got.data, data)
-    assert got.terms == terms
-    assert got.doc_ids == ids
+    for reference in (reference_build_matrix, set_build_matrix):
+        want = _outcome(reference, docs, tok)
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        data, terms, ids = want
+        assert got.data.dtype == np.uint8
+        assert np.array_equal(got.data, data)
+        assert got.terms == terms
+        assert got.doc_ids == ids
 
 
 # ---------------------------------------------------------------- matrix type

@@ -37,6 +37,7 @@ from defclust.distance import (
     _BLOCK_ROWS,
     DISTANCE_MODES,
     EXACT_INT_LIMIT,
+    _code_dtype,
     _exact_float,
     _integer_levels,
     distances_to_csv,
@@ -175,6 +176,41 @@ def test_energy_symmetric_nonnegative():
         assert energy.peak == int(q.max())
 
 
+class LoggedProducts(np.ndarray):
+    """A view of 0/1 cells whose matrix products, and those of the
+    products' results, append their operand shapes to ``log``."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) for x in inputs]
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if ufunc is not np.matmul:
+            return result
+        LoggedProducts.log.append(tuple(x.shape for x in inputs))
+        return result.view(LoggedProducts)
+
+
+FACTOR_ORDER, GRAM_ORDER = 3, 2
+"""Products that U (U^T W U) U^T runs, and that H then H (W H) runs."""
+
+
+def energy_with_order(cells):
+    """``energy_matrix(cells)``, the float type it took and the number of
+    matrix products it ran, which tells the two orders apart."""
+    LoggedProducts.log = []
+    # a raw array-like would be taken in as a plain array
+    with mock.patch("defclust.distance._as_binary_array", lambda cells: (cells, None)):
+        energy, taken = float_types_taken(energy_matrix, cells.view(LoggedProducts))
+    return energy, taken, len(LoggedProducts.log)
+
+
+def first_energies(energy, n):
+    """2 e_ij of the first n documents, as int64."""
+    rows = np.arange(n) if energy.rows is None else energy.rows[:n]
+    return np.asarray(energy.gram_sq)[np.ix_(rows, rows)].astype(np.int64)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 300),
@@ -182,48 +218,55 @@ def test_energy_symmetric_nonnegative():
     density=st.sampled_from([0.005, 0.02, 0.1, 0.5, 0.9, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-# float64 in both orders (256 * 256^2 = 2^24; 400 * 250^2 with 2 p^2 < n^2)
+# arr in float64 in both orders (256 * 256^2 = 2^24; 400 * 250^2 with
+# 2 p^2 < n^2); every padded form in float64 too
 @example(n=256, p=256, density=1.0, seed=0)
 @example(n=400, p=250, density=1.0, seed=4)
-# float32 in both orders (255 * 256^2 < 2^24; 300 * 120^2)
+# arr in float32 in both orders (255 * 256^2 < 2^24; 300 * 120^2)
 @example(n=255, p=256, density=1.0, seed=5)
 @example(n=300, p=120, density=1.0, seed=2)
 @example(n=300, p=300, density=1.0, seed=0)
 @example(n=300, p=300, density=0.02, seed=1)
 @example(n=120, p=300, density=1.0, seed=3)
-# G G over rows that are all distinct (rows of None), in float32 and in
-# float64 (300 * t_max^2 >= 2^24 at density 0.9)
+# arr's rows all distinct (rows of None), in float32 and in float64
+# (300 * t_max^2 >= 2^24 at density 0.9)
 @example(n=300, p=300, density=0.5, seed=0)
 @example(n=300, p=300, density=0.9, seed=0)
+# every padded form in float32
+@example(n=20, p=10, density=0.3, seed=6)
+@example(n=120, p=40, density=0.1, seed=7)
+@example(n=2, p=1, density=1.0, seed=8)
 def test_blas_products_equal_int64_oracle(n, p, density, seed):
     arr = (np.random.default_rng(seed).random((n, p)) < density).astype(np.uint8)
     expected = int64_energy(arr)
-    # Zero rows and zero columns leave the energies of the other rows as
-    # they are, and so do rows over columns of their own.  With u distinct
-    # rows and 2 p^2 < u n the product is U (U^T W U) U^T, else H = U U^T
-    # and then M M^T with M = H[:, rows] (X (X^T X) X^T and G G when
-    # u = n), so the padded matrices take one order each: below arr, 2p
-    # zero rows share one row and 2p + 20 rows are the distinct binary
-    # numbers 1..2p+20 over 10 new columns.  The padding raises
-    # n * t_max^2, so it may also move the product to float64.
-    m = 2 * p + 20
-    numbers = ((np.arange(1, m + 1)[:, None] >> np.arange(10)) & 1).astype(np.uint8)
-    more_rows = np.block(
-        [
-            [arr, np.zeros((n, 10), dtype=np.uint8)],
-            [np.zeros((2 * p, p + 10), dtype=np.uint8)],
-            [np.zeros((m, p), dtype=np.uint8), numbers],
-        ]
-    )
-    more_cols = np.hstack([arr, np.zeros((n, n), dtype=np.uint8)])
-    for cells, first_order in ((more_rows, True), (more_cols, False)):
-        u = len(np.unique(cells, axis=0))
-        assert (2 * cells.shape[1] ** 2 < u * len(cells)) == first_order
-    for cells in (arr, more_rows, more_cols):
-        energy, taken = float_types_taken(energy_matrix, cells)
-        assert taken == [energy_float_type(cells)]
-        assert energy.gram_sq.dtype == taken[0]
-        assert np.array_equal(2 * energy.values[:n, :n], expected)
+    energy, taken, _ = energy_with_order(arr)
+    assert taken == [energy_float_type(arr)] and energy.gram_sq.dtype == taken[0]
+    assert np.array_equal(first_energies(energy, n), expected)
+    # Zero columns, and rows over columns of their own, leave the energies
+    # of arr's rows as they are; writing every row r times multiplies them
+    # by r.  Below arr, m > n rows hold the distinct binary numbers 1..m
+    # over k new columns, so the u >= m distinct rows of ``apart`` are more
+    # than half its rows, and m^2 > 2 (p + k)^2 gives it the U (U^T W U)
+    # U^T order (2 p^2 < u^2).  As many zero columns as rows move it to
+    # the H then H (W H) order.  Written twice it shares every row in the
+    # first order; widened to u columns and written three times, in the
+    # second, where a rule of 2 p^2 < u n would take the first.
+    m = max(n + 1, 2 * p + 40)
+    k = m.bit_length()
+    numbers = ((np.arange(1, m + 1)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+    apart = np.block([[arr, np.zeros((n, k), np.uint8)], [np.zeros((m, p), np.uint8), numbers]])
+    u = len(np.unique(apart, axis=0))
+    cases = [
+        (apart, False, FACTOR_ORDER, 1),
+        (np.hstack([apart, np.zeros((n + m, n + m), np.uint8)]), False, GRAM_ORDER, 1),
+        (np.vstack([apart] * 2), True, FACTOR_ORDER, 2),
+        (np.vstack([np.hstack([apart, np.zeros((n + m, u - p - k), np.uint8)])] * 3), True, GRAM_ORDER, 3),
+    ]
+    for cells, shared, order, times in cases:
+        energy, taken, products = energy_with_order(cells)
+        assert ((energy.rows is not None), products) == (shared, order)
+        assert taken == [energy_float_type(cells)] and energy.gram_sq.dtype == taken[0]
+        assert np.array_equal(first_energies(energy, n), times * expected)
 
     ints = arr.astype(np.int64)
     gram = ints @ ints.T
@@ -288,8 +331,9 @@ def test_topics_corpus_energy_in_float32_equals_the_float64_product(n):
 
 
 def test_energy_distances_peak_near_one_float32_square():
-    # The float32 product (4 n^2 bytes) and the 2-byte codes are nearly all
-    # the memory; an int64 copy of the product takes the peak to 12 n^2.
+    # The float32 product (4 n^2 bytes) and the codes (1 or 2 bytes a pair)
+    # are nearly all the memory; an int64 copy of the product takes the
+    # peak to 12 n^2.
     # In the G G order (2 p^2 >= n^2) G and G G coexist for a moment, and
     # the float32 copy of X, 4 n p bytes, is freed before.
     gg_cells = (np.random.default_rng(3).random((1000, 900)) < 0.01).astype(np.uint8)
@@ -514,7 +558,7 @@ def test_table_and_sorted_triangle_give_the_same_codes(mode):
     assert int(q.max()) < u * u <= int(scaled.max())
     table = energy_distance_vector(EnergyMatrix(q, rows=energy.rows), mode)
     triangle = energy_distance_vector(EnergyMatrix(scaled, rows=energy.rows), mode)
-    assert table.codes.dtype == triangle.codes.dtype == np.uint16
+    assert table.codes.dtype == triangle.codes.dtype == _code_dtype(table.levels.size)
     assert np.array_equal(table.codes, triangle.codes)
     assert np.array_equal(table.levels, triangle.levels)
     values, square = condensed_reference(arr, mode)
@@ -661,12 +705,13 @@ def test_one_shared_row_peaks_no_higher_than_none(n):
 
 @pytest.mark.parametrize("p", [20, 200])
 def test_many_shared_rows_peak_near_the_codes(p):
-    # 600 documents over 60 distinct rows: the 2-byte n x n codes, a few
-    # u x u squares, a few hundred bytes per document (the temporaries of
-    # one band of rows, and of the checks on the codes) and a few words
-    # per distance level, where the float32 n x n square alone would take
-    # 4 n^2 bytes and a second code square 2 n^2.  p = 20 takes the
-    # U (U^T W U) U^T order, p = 200 the H then M M^T one.
+    # 600 documents over 60 distinct rows: the n x n codes (1 or 2 bytes
+    # a pair), a few u x u squares, a few hundred bytes per document (the
+    # temporaries of one band of rows, and of the checks on the codes) and
+    # a few words per distance level, where the float32 n x n square alone
+    # would take 4 n^2 bytes and a second code square as many as the
+    # codes.  p = 20 takes the U (U^T W U) U^T order, p = 200 the H then
+    # H (W H) one.
     rng = np.random.default_rng(p)
     pool = (rng.random((60, p)) < 0.1).astype(np.uint8)
     pool[:, :6] = (np.arange(60)[:, None] >> np.arange(6)) & 1
@@ -675,8 +720,25 @@ def test_many_shared_rows_peak_near_the_codes(p):
     assert u == 60
     for call in (energy_distances, hamming_distance_vector):
         dist, peak = traced_peak(call, cells)
-        bound = 2 * n * n + 6 * u * u + 256 * n + 64 * dist.levels.size
+        bound = dist.codes.nbytes + 6 * u * u + 256 * n + 64 * dist.levels.size
         assert peak < bound, (call.__name__, peak / bound)
+
+
+def test_shared_rows_in_the_gram_order_build_no_u_by_n_block():
+    # 600 documents over 60 distinct rows with p = 200 take H then H (W H)
+    # (2 p^2 >= u^2, and 2 p^2 >= u n too) in float32.  M = H[:, rows], the
+    # u x n block of G, takes 4 u n bytes, more than the whole product
+    # allocates.
+    rng = np.random.default_rng(200)
+    pool = (rng.random((60, 200)) < 0.1).astype(np.uint8)
+    pool[:, :6] = (np.arange(60)[:, None] >> np.arange(6)) & 1
+    cells = pool[rng.integers(0, 60, size=600)]
+    n, u = 600, len(np.unique(cells, axis=0))
+    assert u == 60
+    energy_with_order(cells)
+    (energy, taken, products), peak = traced_peak(energy_with_order, cells)
+    assert (taken, products, energy.gram_sq.shape) == ([np.float32], GRAM_ORDER, (u, u))
+    assert peak < 4 * u * n, peak / (4 * u * n)
 
 
 def test_integers_that_round_to_one_float_share_a_code():
@@ -723,13 +785,14 @@ def test_coded_distances_validation():
     codes = np.array([[0, 1], [1, 0]], dtype=np.uint16)
     levels = np.array([0.0, 0.5])
     cases = [
-        (codes.astype(np.int16), levels, "uint16 or uint32"),
+        (codes.astype(np.int16), levels, "uint8, uint16 or uint32"),
         (codes, levels.astype(np.float32), "float64"),
         (codes, np.array([0.1, 0.5]), "rise strictly from 0.0"),
         (codes, np.array([0.0, 0.5, 0.5]), "rise strictly"),
         (codes, np.array([0.0, 1.5]), "within"),
         (codes, np.array([0.0, np.nan]), "within"),
         (codes, np.linspace(0.0, 1.0, 2**16), "sentinel"),
+        (codes.astype(np.uint8), np.linspace(0.0, 1.0, 2**8), "sentinel"),
         (codes * 2, levels, "index a level"),
         (np.ones((2, 2), dtype=np.uint16), levels, "itself"),
         (np.array([[0, 1], [0, 0]], dtype=np.uint16), levels, "symmetric"),
@@ -738,7 +801,8 @@ def test_coded_distances_validation():
     for bad_codes, bad_levels, message in cases:
         with pytest.raises(ValueError, match=message):
             PairwiseDistances(bad_codes, bad_levels)
-    assert PairwiseDistances(codes.astype(np.uint32), levels).values.tolist() == [0.5]
+    for dtype in (np.uint8, np.uint32):
+        assert PairwiseDistances(codes.astype(dtype), levels).values.tolist() == [0.5]
 
 
 def separate_energy_checks(q):
@@ -829,16 +893,20 @@ def test_one_energy_sweep_raises_what_the_separate_checks_raise(n, dtype, fault,
 @given(
     n=st.integers(1, 80),
     n_levels=st.integers(2, 300),
-    dtype=st.sampled_from([np.uint16, np.uint32]),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.uint32]),
     fault=st.sampled_from([None, "asymmetry", "past the levels", "diagonal"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=80, n_levels=5, dtype=np.uint16, fault="asymmetry", seed=0)
 @example(n=80, n_levels=5, dtype=np.uint32, fault="past the levels", seed=1)
 @example(n=70, n_levels=2, dtype=np.uint16, fault="diagonal", seed=2)
+@example(n=80, n_levels=253, dtype=np.uint8, fault="past the levels", seed=3)
 def test_one_code_sweep_raises_what_the_separate_checks_raise(n, n_levels, dtype, fault, seed):
     if fault != "diagonal" and n == 1:
         fault = "diagonal"
+    if dtype is np.uint8:
+        # a code past the levels, up to n_levels + 2, must fit in one byte
+        n_levels = min(n_levels, 253)
     rng = np.random.default_rng(seed)
     levels = np.linspace(0.0, 1.0, n_levels)
     codes = np.triu(rng.integers(0, n_levels, size=(n, n)), k=1).astype(dtype)
@@ -916,7 +984,7 @@ def test_hamming_metric_axioms_small():
 
 
 def test_hamming_peak_stays_near_one_square():
-    # with few columns the n x n float32 product and the 2-byte codes are
+    # with few columns the n x n float32 product and the codes are
     # nearly all the memory a call needs; building the distances through
     # n x n float64 temporaries would take about four float64 squares.
     # With p near n the float copy of X (3.6 n^2 bytes here) must be freed
@@ -994,6 +1062,15 @@ def test_pairwise_distances_validation():
     codes = np.array([[0, 1], [1, 0]], dtype=np.uint16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # a complex square is not cast to its real parts, nor objects or
+        # strings to floats
+        for square in (
+            np.array([[0, 0.5 + 1j], [0.5 + 1j, 0]]),
+            np.array([[0.0, 0.5], [0.5, 0.0]], dtype=object),
+            np.array([["0", "0.5"], ["0.5", "0"]]),
+        ):
+            with pytest.raises(ValueError, match="bool, integer or float"):
+                PairwiseDistances.from_square(square)
         for levels in ([0.0, 0.5], (0.0, 0.5)):
             with pytest.raises(ValueError, match="one-dimensional float64 array"):
                 PairwiseDistances(codes, levels)

@@ -13,7 +13,8 @@ nearest-neighbour loop, whose merge list must be identical, ties included.
 
 ``float_dendrogram`` is that cached nearest-neighbour loop on the float64
 square, retired slots set to inf.  The library runs it on rank codes,
-which must give the same merges and heights in ``uint16`` and ``uint32``.
+which must give the same merges and heights in ``uint8``, ``uint16`` and
+``uint32``.
 """
 
 import csv
@@ -43,6 +44,7 @@ from defclust import (
     energy_matrix,
 )
 from defclust import hac
+from defclust.distance import _code_dtype
 from defclust.hac import check_alpha, dendrogram_to_csv
 
 
@@ -141,9 +143,9 @@ def float_dendrogram(square):
     return merges
 
 
-def as_uint32(dist):
-    """The same distances with their codes widened to uint32."""
-    return PairwiseDistances(dist.codes.astype(np.uint32), dist.levels, ids=dist.ids)
+def widened(dist, dtype):
+    """The same distances with their codes widened to ``dtype``."""
+    return PairwiseDistances(dist.codes.astype(dtype), dist.levels, ids=dist.ids)
 
 
 def merge_tuples(tree):
@@ -274,10 +276,11 @@ def test_merge_list_matches_argmin_oracle_under_ties(square):
 @given(larger_tie_heavy_squares())
 def test_coded_loop_matches_float_loop_under_ties(square):
     dist = PairwiseDistances.from_square(square)
-    assert dist.codes.dtype == np.uint16
+    assert dist.codes.dtype == _code_dtype(dist.levels.size)
     merges = float_dendrogram(square)
     assert merge_tuples(build_dendrogram(dist)) == merges
-    assert merge_tuples(build_dendrogram(as_uint32(dist))) == merges
+    assert merge_tuples(build_dendrogram(widened(dist, np.uint16))) == merges
+    assert merge_tuples(build_dendrogram(widened(dist, np.uint32))) == merges
 
 
 def test_coded_loop_matches_float_loop_with_uint32_codes():
@@ -288,6 +291,29 @@ def test_coded_loop_matches_float_loop_with_uint32_codes():
     assert dist.codes.dtype == np.uint32
     assert dist.levels.size == 400 * 399 // 2 + 1
     assert merge_tuples(build_dendrogram(dist)) == float_dendrogram(square)
+
+
+@pytest.mark.parametrize("n_levels, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_one_byte_codes_up_to_255_levels(n_levels, dtype):
+    # 255 levels take codes 0..254 and leave 255 as the retired sentinel;
+    # one more level needs a second byte
+    assert _code_dtype(n_levels) is dtype
+    assert _code_dtype(2**16 - 1) is np.uint16 and _code_dtype(2**16) is np.uint32
+    rng = np.random.default_rng(n_levels)
+    n = 40
+    tri = np.arange(1, n * (n - 1) // 2 + 1) % (n_levels - 1) + 1
+    square = np.zeros((n, n))
+    square[np.triu_indices(n, k=1)] = rng.permutation(tri) / (n_levels - 1)
+    square += square.T
+    dist = PairwiseDistances.from_square(square)
+    assert dist.levels.size == n_levels and dist.codes.dtype == dtype
+    assert int(dist.codes.max()) == n_levels - 1 < np.iinfo(dtype).max
+    before = dist.codes.tobytes()
+    merges = merge_tuples(build_dendrogram(dist))
+    assert merges == float_dendrogram(square) == argmin_dendrogram(square)
+    # the last merge of complete linkage is at the largest pair distance
+    assert merges[-1][2] == dist.levels[n_levels - 1] == 1.0
+    assert dist.codes.tobytes() == before
 
 
 ALL_EQUAL = np.full((9, 9), 0.5) - 0.5 * np.eye(9)
@@ -372,15 +398,15 @@ def test_build_dendrogram_leaves_the_input_square_untouched():
 
 @st.composite
 def coded_tie_heavy_squares(draw):
-    """Coded k/q squares in uint16 or uint32, some of them past 128 rows,
-    where the restore of the codes moves on to its next band of rows."""
+    """Coded k/q squares in uint8, uint16 or uint32, some of them past 128
+    rows, where the restore of the codes moves on to its next band of rows."""
     n = draw(st.one_of(st.integers(2, 40), st.integers(129, 300)))
     q = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     square = np.zeros((n, n))
     square[np.triu_indices(n, k=1)] = rng.integers(0, q + 1, size=n * (n - 1) // 2) / q
     dist = PairwiseDistances.from_square(square + square.T)
-    return as_uint32(dist) if draw(st.booleans()) else dist
+    return widened(dist, draw(st.sampled_from([np.uint8, np.uint16, np.uint32])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,18 +437,22 @@ def test_build_dendrogram_restores_the_codes_when_a_merge_raises(monkeypatch, fa
 
 
 def test_build_dendrogram_makes_no_copy_of_the_codes():
-    # a working copy of the 2-byte codes would trace 2 n^2 bytes; the loop
-    # keeps a few words per item and per merge
+    # a working copy of the codes would trace n^2 bytes in uint8 and 2 n^2
+    # in uint16, either way over the bound; the loop keeps a few words per
+    # item and per merge
     n = 1000
     dist = PairwiseDistances.from_square(random_square(np.random.default_rng(79), n, discrete=True))
-    assert dist.codes.dtype == np.uint16
-    tracemalloc.start()
-    try:
-        build_dendrogram(dist)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n // 2, peak
+    assert dist.codes.dtype == _code_dtype(dist.levels.size) == np.uint8
+    for dtype in (np.uint8, np.uint16):
+        dist = widened(dist, dtype)
+        assert dist.codes.nbytes == n * n * np.dtype(dtype).itemsize
+        tracemalloc.start()
+        try:
+            build_dendrogram(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 2, (dtype, peak)
 
 
 @pytest.mark.parametrize("layout", ["read-only", "fortran"])
