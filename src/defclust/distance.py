@@ -110,8 +110,8 @@ EXACT_INT_LIMIT = 2**53
 """Energies must stay below this: float64 holds every smaller integer exactly."""
 
 _BLOCK_ROWS = 32
-"""Rows of an n x n square handled at a time: a band and its transpose
-stay in cache, and no whole-square temporary is made."""
+"""Rows of an n x n square handled at a time, so that no whole-square
+temporary is made."""
 
 
 def _blocks(n: int) -> list[slice]:
@@ -119,14 +119,30 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
 
 
-def _symmetric_bands(square: np.ndarray, message: str):
-    """Bands of rows of the upper triangle of ``square``, diagonal on, each
-    first compared with its band of columns, which stays in cache where a
-    whole transposed read would miss it on every element; a mismatch is a
-    ``ValueError(message)``.  They hold every value of a symmetric square."""
-    for band in _blocks(square.shape[0]):
-        upper = square[band, band.start :]
-        if not np.array_equal(upper, square[band.start :, band].T):
+_TILE_COLS = 1024
+"""Columns of a tile of ``_upper_tiles``: a tile and its transpose stay
+in cache, where a whole band of 4,000 columns read against its
+transpose takes twice to three times as long."""
+
+
+def _upper_tiles(n: int):
+    """(rows, cols) slices that cover the upper triangle of an n x n
+    square once, diagonal included: each band of ``_BLOCK_ROWS`` rows from
+    its diagonal on, in tiles of at most ``_TILE_COLS`` columns.  The
+    first tile of a band also holds the lower half of its diagonal block.
+    Every read of a square against its transpose walks these tiles."""
+    for rows in _blocks(n):
+        for col in range(rows.start, n, _TILE_COLS):
+            yield rows, slice(col, min(col + _TILE_COLS, n))
+
+
+def _symmetric_tiles(square: np.ndarray, message: str):
+    """The ``_upper_tiles`` of ``square``, each first compared with its
+    transpose below the diagonal; a mismatch is a ``ValueError(message)``.
+    They hold every value of a symmetric square."""
+    for rows, cols in _upper_tiles(square.shape[0]):
+        upper = square[rows, cols]
+        if not np.array_equal(upper, square[cols, rows].T):
             raise ValueError(message)
         yield upper
 
@@ -193,7 +209,7 @@ class EnergyMatrix:
     symmetric, every entry must stay below ``EXACT_INT_LIMIT``, and
     ``rows`` must use every row; ``peak`` is the largest entry, the
     largest of the n x n energies too.  Symmetry, sign, whole numbers
-    and ``peak`` come from one sweep of ``_symmetric_bands``.
+    and ``peak`` come from one sweep of ``_symmetric_tiles``.
     """
 
     gram_sq: np.ndarray
@@ -219,7 +235,7 @@ class EnergyMatrix:
                 raise ValueError("rows must use every row of the energy matrix")
             object.__setattr__(self, "rows", rows)
         peak = 0
-        for upper in _symmetric_bands(q, "energy matrix must be symmetric"):
+        for upper in _symmetric_tiles(q, "energy matrix must be symmetric"):
             if upper.min() < 0:
                 raise ValueError("energy magnitudes must be non-negative")
             # the distances cast the square to integers, which would truncate
@@ -270,8 +286,7 @@ class PairwiseDistances:
     they are kept C-contiguous and writable: read-only or Fortran-ordered
     codes are copied.  ``values`` (the condensed SciPy view: the upper
     triangle flattened row-major, (0,1), (0,2), ..., (0,n-1), (1,2), ...,
-    (n-2,n-1)) is built from the codes on each access.  ``from_square``
-    builds the codes of any bool, integer or float square.
+    (n-2,n-1)) is built from the codes on each access.
     """
 
     codes: np.ndarray
@@ -299,30 +314,11 @@ class PairwiseDistances:
         if codes.diagonal().any():
             raise ValueError("the distance of an item to itself must be 0")
         # the row-major tie rule of build_dendrogram relies on symmetry
-        for upper in _symmetric_bands(codes, "pair distances must be symmetric"):
+        for upper in _symmetric_tiles(codes, "pair distances must be symmetric"):
             if int(upper.max()) >= levels.size:
                 raise ValueError("every code must index a level")
         if self.ids is not None and len(self.ids) != self.n:
             raise ValueError("ids length must match n")
-
-    @classmethod
-    def from_square(cls, square, ids: tuple[str, ...] | None = None) -> "PairwiseDistances":
-        """Codes of a symmetric array-like in [0, 1] with a zero diagonal.
-
-        Only the kind and the range are checked here: distinct floats get
-        distinct codes, whose shape, diagonal and symmetry ``__post_init__``
-        checks.  A square of any kind but bool, integer or float (complex,
-        object, str) is a ``ValueError``, not cast."""
-        sq = np.asarray(square)
-        if sq.dtype.kind not in "biuf":
-            raise ValueError(f"pair distances must be bool, integer or float, got {sq.dtype}")
-        sq = sq.astype(np.float64, copy=False)
-        # min/max propagate NaN, which fails both comparisons
-        if sq.size and not (float(sq.min()) >= 0.0 and float(sq.max()) <= 1.0):
-            raise ValueError("pair distances must lie in [0, 1]")
-        levels, _ = _levels_of(np.sort(sq, axis=None))
-        codes = np.searchsorted(levels, sq).astype(_code_dtype(levels.size))
-        return cls(codes, levels, ids=ids)
 
     @property
     def n(self) -> int:
@@ -332,18 +328,6 @@ class PairwiseDistances:
     def values(self) -> np.ndarray:
         """Condensed copy: one value per unordered pair, in pair order."""
         return self.levels[self.codes[np.triu_indices(self.n, k=1)]]
-
-
-def _levels_of(ascending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of ascending distances in [0, 1], and the code of each.
-
-    Equal floats share a code, and 0.0 is always the first level.  The
-    neighbour mask stands in for ``np.unique``, whose first call imports
-    ``numpy.ma``.
-    """
-    values = np.concatenate(([0.0], ascending))
-    rises = values[1:] != values[:-1]
-    return values[np.concatenate(([True], rises))], np.cumsum(rises)
 
 
 def _integer_levels(
@@ -356,12 +340,14 @@ def _integer_levels(
     divisor gives q itself, which is then 0.  Division and subtraction
     round monotonically, so the floats ascend with q (descend when
     inverted), and integers that round to one float share its code.
+    0.0 is always the first level.  The neighbour mask stands in for
+    ``np.unique``, whose first call imports ``numpy.ma``.
     """
     x = distinct / divisor if divisor else distinct.astype(np.float64)
-    if not inverted:
-        return _levels_of(x)
-    levels, codes = _levels_of(1.0 - x[::-1])
-    return levels, codes[::-1]
+    values = np.concatenate(([0.0], 1.0 - x[::-1] if inverted else x))
+    rises = values[1:] != values[:-1]
+    codes = np.cumsum(rises)
+    return values[np.concatenate(([True], rises))], codes[::-1] if inverted else codes
 
 
 def _coded_distances(

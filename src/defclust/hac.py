@@ -50,9 +50,10 @@ The loop works in place on the codes and needs no working copy of them.
 The distance of the groups in slots i < j sits at ``d[i, j]``: the loop
 writes only the strict upper triangle and the diagonal, and reads the
 lower triangle only while the codes are still symmetric, at the start.
-When it returns or raises, it copies the lower triangle back over the
-upper one and resets the diagonal to 0, so the codes end byte for byte
-as they began; in between, another thread must not read them.
+When it returns or raises, it lowers each upper entry to its mirror
+below the diagonal, tile by tile, and resets the diagonal to 0, so the
+codes end byte for byte as they began; in between, another thread must
+not read them.
 
 Threshold comparison is inclusive (<= alpha) and exact: no epsilon is
 applied, since distances arrive as deterministic values from the
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import PairwiseDistances
+from .distance import PairwiseDistances, _upper_tiles
 
 
 @dataclass(frozen=True)
@@ -219,26 +220,14 @@ def build_dendrogram(dist: PairwiseDistances) -> Dendrogram:
     return Dendrogram(n=n, merges=tuple(merges), ids=dist.ids)
 
 
-_RESTORE_ROWS, _RESTORE_COLS = 128, 1024
-"""Tile that ``_restore_upper`` copies at a time: wide enough to keep the
-calls few, short enough that its transposed read stays in cache (whole
-bands of rows read 4 times slower at n=4000)."""
-
-
 def _restore_upper(d: np.ndarray) -> None:
-    """Copy the lower triangle of the square ``d`` over the upper one and
-    set the diagonal to 0, tile by tile: the tiles right of each band's
-    diagonal block are the transposes of the tiles below it."""
-    n = d.shape[0]
-    upper = np.tri(_RESTORE_ROWS, k=-1, dtype=bool).T
-    for start in range(0, n, _RESTORE_ROWS):
-        band = slice(start, start + _RESTORE_ROWS)
-        block = d[band, band]
-        size = len(block)
-        np.copyto(block, block.T, where=upper[:size, :size])
-        for col in range(start + size, n, _RESTORE_COLS):
-            cols = slice(col, col + _RESTORE_COLS)
-            d[band, cols] = d[cols, band].T
+    """Undo the loop's writes to the square ``d`` and set its diagonal to
+    0.  The loop only raised entries of the upper triangle and the
+    diagonal, and never wrote the lower triangle, so each upper tile
+    takes its minimum with its transpose below the diagonal."""
+    for rows, cols in _upper_tiles(d.shape[0]):
+        tile = d[rows, cols]
+        np.minimum(tile, d[cols, rows].T, out=tile)
     np.fill_diagonal(d, 0)
 
 
@@ -283,8 +272,11 @@ def clustering_from_json_dict(record: dict) -> Clustering:
 
     ``alpha`` must pass :func:`check_alpha`, ``groups`` must be a list of
     non-empty lists and ``ungrouped`` a list, at least one label must occur
-    and no label may occur twice; anything else raises ``ValueError``.
+    and no label may occur twice; anything else, a record that is not a
+    dict included, raises ``ValueError``.
     """
+    if not isinstance(record, dict):
+        raise ValueError("clustering JSON must be an object")
     for field in ("alpha", "groups", "ungrouped"):
         if field not in record:
             raise ValueError(f"clustering JSON is missing field {field!r}")

@@ -2,12 +2,15 @@
 
 Several test files score the same 120-document collection, so the matrix,
 distances, dendrogram and default sweep are built once per session.
+``coded_square`` builds hand-made distances for the tests.
 """
 
+import numpy as np
 import pytest
 
 from defclust import (
     GoldAnnotation,
+    PairwiseDistances,
     build_matrix,
     build_dendrogram,
     energy_distance_vector,
@@ -17,6 +20,21 @@ from defclust import (
     synthetic_gold,
     synthetic_tokenizer,
 )
+from defclust.distance import _code_dtype
+
+
+def coded_square(square, ids=None) -> PairwiseDistances:
+    """Rank codes of a square of distances, the oracle of the library's.
+
+    The levels are the distinct entries with 0.0 first (``np.unique``),
+    and each entry's code is the index of its level (``searchsorted``) in
+    the smallest dtype that leaves a sentinel.  ``PairwiseDistances``
+    checks the rest: shape, range, zero diagonal and symmetry.
+    """
+    square = np.asarray(square, dtype=np.float64)
+    levels = np.unique(np.concatenate(([0.0], square.ravel())))
+    codes = np.searchsorted(levels, square).astype(_code_dtype(levels.size))
+    return PairwiseDistances(codes, levels, ids=ids)
 
 
 @pytest.fixture(scope="session")

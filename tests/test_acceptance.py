@@ -29,8 +29,9 @@ from defclust import (
     scan_text,
     score_clustering,
 )
-from defclust.distance import PairwiseDistances
 from defclust.evaluation import DEFAULT_GRID
+
+from conftest import coded_square
 
 NEGATIVE_SENTENCE_PATTERN = "la aguja es el"
 
@@ -151,7 +152,7 @@ def test_criterion_2_cut_matches_naive_stop_early_everywhere():
             for j in range(i + 1, n):
                 square[i][j] = square[j][i] = tri[k]
                 k += 1
-        dist = PairwiseDistances.from_square(square)
+        dist = coded_square(square)
         tree = build_dendrogram(dist)
 
         distances, snapshots = oracle_agglomerate(square)

@@ -349,9 +349,13 @@ def test_eval_rejects_non_clustering_json(tmp_path, gold_file, capsys):
         {"alpha": True, "groups": [["a1", "a2"]], "ungrouped": ["b1"]},
         {"alpha": "0.5", "groups": [["a1", "a2"]], "ungrouped": ["b1"]},
         {"alpha": 0.5, "groups": [], "ungrouped": []},
+        [1, 2],
+        "alpha groups ungrouped",
+        5,
     ],
     ids=["empty-group", "alpha-5", "label-in-two-groups", "label-grouped-and-ungrouped",
-         "groups-string", "alpha-true", "alpha-string", "no-documents"],
+         "groups-string", "alpha-true", "alpha-string", "no-documents",
+         "list", "string", "number"],
 )
 @pytest.mark.parametrize("command", ["eval", "report"])
 def test_malformed_clustering_is_a_located_data_error(
@@ -364,7 +368,10 @@ def test_malformed_clustering_is_a_located_data_error(
     else:
         argv = ["report", str(path), "--gold", str(gold_file)]
     assert main(argv) == 2
-    assert f"error: {path}: not a clustering file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {path}: not a clustering file" in err
+    if not isinstance(record, dict):
+        assert err.endswith("(clustering JSON must be an object)\n"), err
 
 
 @pytest.mark.parametrize("command", ["sweep", "eval"])

@@ -35,15 +35,19 @@ from defclust import (
 )
 from defclust.distance import (
     _BLOCK_ROWS,
+    _TILE_COLS,
     DISTANCE_MODES,
     EXACT_INT_LIMIT,
     _code_dtype,
     _exact_float,
     _integer_levels,
+    _upper_tiles,
     distances_to_csv,
     energy_matrix_to_csv,
 )
 from defclust.errors import DataError
+
+from conftest import coded_square
 
 
 def quadruple_sum_energy(rows):
@@ -540,7 +544,37 @@ def test_square_equals_condensed_reference(arr):
         assert np.array_equal(dist.values, values)
         assert dist.levels[dist.codes].dtype == np.float64
         assert np.array_equal(dist.levels[dist.codes], square)
-        assert merge_tuples(dist) == merge_tuples(PairwiseDistances.from_square(square))
+        assert merge_tuples(dist) == merge_tuples(coded_square(square))
+
+
+def shared_rows_matrix():
+    """40 topics documents, each written 5 times over under new ids."""
+    rng = random.Random(2032)
+    topics = [[f"w{t:02d}{k:02d}" for k in range(25)] for t in range(8)]
+    shared = [f"g{k:02d}" for k in range(30)]
+    texts = [
+        " ".join(rng.sample(topics[j % 8], rng.randint(5, 9)) + rng.sample(shared, 3))
+        for j in range(40)
+    ]
+    return build_matrix(
+        [Document(id=f"doc{j:02d}~{k}", text=text) for k in range(5) for j, text in enumerate(texts)]
+    )
+
+
+@pytest.mark.parametrize("distance", ["inverted", "raw", "hamming"])
+@pytest.mark.parametrize("corpus", ["bundled", "shared rows"])
+def test_codes_are_the_dense_ranks_of_their_distances(corpus, distance, synthetic_matrix):
+    # every level is used once and in order: the oracle's ranks of the
+    # floats give back the codes and the levels byte for byte
+    matrix = synthetic_matrix if corpus == "bundled" else shared_rows_matrix()
+    if distance == "hamming":
+        dist = hamming_distance_vector(matrix)
+    else:
+        dist = energy_distance_vector(energy_matrix(matrix), mode=distance)
+    oracle = coded_square(dist.levels[dist.codes])
+    assert oracle.codes.dtype == dist.codes.dtype
+    assert oracle.codes.tobytes() == dist.codes.tobytes()
+    assert oracle.levels.tobytes() == dist.levels.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["inverted", "raw"])
@@ -928,14 +962,59 @@ def test_one_code_sweep_raises_what_the_separate_checks_raise(n, n_levels, dtype
 
 
 def test_energy_checks_hold_one_band_of_temporaries_at_a_time():
-    # a whole-square temporary, such as np.trunc(q) == q, takes 5 n^2 bytes
-    n = 1000
-    half = np.random.default_rng(0).integers(0, 2**20, size=(n, n))
+    # a whole-square temporary, such as np.trunc(q) == q, takes 5 n^2
+    # bytes; past _TILE_COLS columns a band is read one tile at a time,
+    # so the bound stops growing with n
+    for n in (1000, 2100):
+        half = np.random.default_rng(0).integers(0, 2**20, size=(n, n))
+        q = (half + half.T).astype(np.float32)
+        del half
+        energy, peak = traced_peak(EnergyMatrix, q)
+        assert energy.peak == int(q.max())
+        tile = _BLOCK_ROWS * min(n, _TILE_COLS)
+        assert peak < 8 * tile, (n, peak / tile)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 1024, 1025, 2100])
+def test_upper_tiles_cover_the_upper_triangle_once(n):
+    covered = np.zeros((n, n), dtype=np.int8)
+    for rows, cols in _upper_tiles(n):
+        assert 0 < rows.stop - rows.start <= _BLOCK_ROWS
+        assert 0 < cols.stop - cols.start <= _TILE_COLS
+        covered[rows, cols] += 1
+    assert covered.max() == 1
+    assert np.array_equal(np.triu(covered), np.triu(np.ones((n, n), dtype=np.int8)))
+    # below the diagonal, only the diagonal blocks of the bands are read
+    below_i, below_j = np.nonzero(np.tril(covered, k=-1))
+    assert (below_i // _BLOCK_ROWS == below_j // _BLOCK_ROWS).all()
+
+
+# a cell of the first band of rows whose column lies in the second tile
+SECOND_TILE_CELL = (5, _TILE_COLS + 40)
+
+
+@pytest.mark.parametrize("fault", ["above", "below", "value"])
+def test_checks_read_the_second_column_tile(fault):
+    n = 1100
+    rng = np.random.default_rng(37)
+    half = np.triu(rng.integers(0, 200, size=(n, n)), k=1)
     q = (half + half.T).astype(np.float32)
+    codes = (half + half.T).astype(np.uint8)
+    levels = np.linspace(0.0, 1.0, 200)
     del half
-    energy, peak = traced_peak(EnergyMatrix, q)
-    assert energy.peak == int(q.max())
-    assert peak < 8 * _BLOCK_ROWS * n, peak / (_BLOCK_ROWS * n)
+    i, j = SECOND_TILE_CELL if fault != "below" else SECOND_TILE_CELL[::-1]
+    if fault == "value":
+        q[i, j] = q[j, i] = -1
+        codes[i, j] = codes[j, i] = levels.size
+        energy_message, code_message = "non-negative", "index a level"
+    else:
+        q[i, j] += 1
+        codes[i, j] += 1
+        energy_message, code_message = "symmetric", "symmetric"
+    with pytest.raises(ValueError, match=energy_message):
+        EnergyMatrix(q)
+    with pytest.raises(ValueError, match=code_message):
+        PairwiseDistances(codes, levels)
 
 
 def test_distance_mode_and_size_validation():
@@ -1014,7 +1093,7 @@ def test_hamming_needs_pairs_and_columns():
 # ---------------------------------------------------------------- plumbing
 
 def test_pair_distance_layout():
-    d = PairwiseDistances.from_square(squareform([0.1, 0.2, 0.3]))
+    d = coded_square(squareform([0.1, 0.2, 0.3]))
     assert pair_distance(d, 0, 1) == 0.1
     assert pair_distance(d, 0, 2) == 0.2
     assert pair_distance(d, 1, 2) == 0.3
@@ -1025,7 +1104,7 @@ def test_pair_distance_agrees_with_square_form():
     rng = np.random.default_rng(31)
     n = 9
     values = rng.uniform(0, 1, n * (n - 1) // 2)
-    d = PairwiseDistances.from_square(squareform(values))
+    d = coded_square(squareform(values))
     assert np.array_equal(d.values, values)
     square = d.levels[d.codes]
     assert np.array_equal(square, square.T)
@@ -1037,7 +1116,7 @@ def test_pair_distance_agrees_with_square_form():
 
 
 def test_pair_distance_rejects_bad_indices():
-    d = PairwiseDistances.from_square(squareform([0.1, 0.2, 0.3]))
+    d = coded_square(squareform([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
         pair_distance(d, 1, 1)
     with pytest.raises(IndexError):
@@ -1058,19 +1137,19 @@ def test_pairwise_distances_validation():
     ]
     for square, ids, message in cases:
         with pytest.raises(ValueError, match=message):
-            PairwiseDistances.from_square(square, ids=ids)
+            coded_square(square, ids=ids)
     codes = np.array([[0, 1], [1, 0]], dtype=np.uint16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # a complex square is not cast to its real parts, nor objects or
-        # strings to floats
+        # complex codes are not cast to their real parts, nor objects or
+        # strings to integers
         for square in (
-            np.array([[0, 0.5 + 1j], [0.5 + 1j, 0]]),
-            np.array([[0.0, 0.5], [0.5, 0.0]], dtype=object),
-            np.array([["0", "0.5"], ["0.5", "0"]]),
+            np.array([[0, 1 + 1j], [1 + 1j, 0]]),
+            np.array([[0, 1], [1, 0]], dtype=object),
+            np.array([["0", "1"], ["1", "0"]]),
         ):
-            with pytest.raises(ValueError, match="bool, integer or float"):
-                PairwiseDistances.from_square(square)
+            with pytest.raises(ValueError, match="uint8, uint16 or uint32"):
+                PairwiseDistances(square, np.array([0.0, 0.5]))
         for levels in ([0.0, 0.5], (0.0, 0.5)):
             with pytest.raises(ValueError, match="one-dimensional float64 array"):
                 PairwiseDistances(codes, levels)
@@ -1079,7 +1158,7 @@ def test_pairwise_distances_validation():
 def test_integer_and_list_squares_are_stored_as_float64():
     rows = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
     for square in (rows, np.array(rows)):
-        d = PairwiseDistances.from_square(square)
+        d = coded_square(square)
         assert d.levels[d.codes].dtype == np.float64
         assert d.values.tolist() == [1.0, 1.0, 0.0]
         assert merge_tuples(d) == [(1, 2, 0.0, 3), (0, 3, 1.0, 4)]
@@ -1096,7 +1175,7 @@ def test_csv_dumps_round_trip():
     assert rows[0] == ["", "a", "b", "c"]
     assert float(rows[1][2]) == e.values[0, 1]
 
-    text = distances_to_csv(PairwiseDistances.from_square(d.levels[d.codes], ids=("a", "b", "c")))
+    text = distances_to_csv(PairwiseDistances(d.codes, d.levels, ids=("a", "b", "c")))
     assert text.startswith("id_i,id_j,distance\na,b,") and "\r" not in text
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["id_i", "id_j", "distance"]

@@ -44,8 +44,10 @@ from defclust import (
     energy_matrix,
 )
 from defclust import hac
-from defclust.distance import _code_dtype
+from defclust.distance import _TILE_COLS, _code_dtype
 from defclust.hac import check_alpha, dendrogram_to_csv
+
+from conftest import coded_square
 
 
 def naive_stop_early(square, alpha, min_size):
@@ -182,7 +184,7 @@ def test_two_pairs_merge_before_crossing():
         [0.6, 0.8, 0.0, 0.2],
         [0.7, 0.9, 0.2, 0.0],
     ]
-    tree = build_dendrogram(PairwiseDistances.from_square(square))
+    tree = build_dendrogram(coded_square(square))
     assert [(m.left, m.right, m.distance) for m in tree.merges] == [
         (0, 1, 0.1),
         (2, 3, 0.2),
@@ -192,14 +194,14 @@ def test_two_pairs_merge_before_crossing():
 
 
 def test_n2_is_a_single_forced_merge():
-    tree = build_dendrogram(PairwiseDistances.from_square([[0, 0.3], [0.3, 0]]))
+    tree = build_dendrogram(coded_square([[0, 0.3], [0.3, 0]]))
     assert tree.merges == (Merge(left=0, right=1, distance=0.3, new_id=2),)
 
 
 def test_all_equal_distances_follow_tie_break():
     square = np.full((4, 4), 0.5)
     np.fill_diagonal(square, 0.0)
-    tree = build_dendrogram(PairwiseDistances.from_square(square))
+    tree = build_dendrogram(coded_square(square))
     # lowest representatives first: (0,1), then ({0,1},2), then (...,3)
     assert [(m.left, m.right) for m in tree.merges] == [(0, 1), (4, 2), (5, 3)]
     assert all(m.distance == 0.5 for m in tree.merges)
@@ -209,7 +211,7 @@ def test_merge_distances_non_decreasing():
     rng = np.random.default_rng(41)
     for trial in range(30):
         square = random_square(rng, int(rng.integers(2, 12)), discrete=trial % 2 == 0)
-        tree = build_dendrogram(PairwiseDistances.from_square(square))
+        tree = build_dendrogram(coded_square(square))
         dists = [m.distance for m in tree.merges]
         assert dists == sorted(dists)
 
@@ -218,7 +220,7 @@ def test_determinism_with_heavy_ties():
     rng = np.random.default_rng(43)
     for _ in range(10):
         square = random_square(rng, 9, discrete=True)
-        d = PairwiseDistances.from_square(square)
+        d = coded_square(square)
         assert build_dendrogram(d) == build_dendrogram(d)
 
 
@@ -238,7 +240,7 @@ def tie_heavy_squares(draw):
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_squares())
 def test_merge_list_matches_naive_reference_under_ties(square):
-    tree = build_dendrogram(PairwiseDistances.from_square(square))
+    tree = build_dendrogram(coded_square(square))
     _, _, merges = naive_stop_early(square.tolist(), np.inf, 1)
     assert merge_tuples(tree) == merges
     assert argmin_dendrogram(square) == merges
@@ -268,14 +270,14 @@ def larger_tie_heavy_squares(draw):
 @settings(max_examples=200, deadline=None)
 @given(larger_tie_heavy_squares())
 def test_merge_list_matches_argmin_oracle_under_ties(square):
-    tree = build_dendrogram(PairwiseDistances.from_square(square))
+    tree = build_dendrogram(coded_square(square))
     assert merge_tuples(tree) == argmin_dendrogram(square)
 
 
 @settings(max_examples=200, deadline=None)
 @given(larger_tie_heavy_squares())
 def test_coded_loop_matches_float_loop_under_ties(square):
-    dist = PairwiseDistances.from_square(square)
+    dist = coded_square(square)
     assert dist.codes.dtype == _code_dtype(dist.levels.size)
     merges = float_dendrogram(square)
     assert merge_tuples(build_dendrogram(dist)) == merges
@@ -287,7 +289,7 @@ def test_coded_loop_matches_float_loop_with_uint32_codes():
     # more than 2^16 - 1 distinct distances leave no uint16 sentinel
     rng = np.random.default_rng(29)
     square = random_square(rng, 400)
-    dist = PairwiseDistances.from_square(square)
+    dist = coded_square(square)
     assert dist.codes.dtype == np.uint32
     assert dist.levels.size == 400 * 399 // 2 + 1
     assert merge_tuples(build_dendrogram(dist)) == float_dendrogram(square)
@@ -305,7 +307,7 @@ def test_one_byte_codes_up_to_255_levels(n_levels, dtype):
     square = np.zeros((n, n))
     square[np.triu_indices(n, k=1)] = rng.permutation(tri) / (n_levels - 1)
     square += square.T
-    dist = PairwiseDistances.from_square(square)
+    dist = coded_square(square)
     assert dist.levels.size == n_levels and dist.codes.dtype == dtype
     assert int(dist.codes.max()) == n_levels - 1 < np.iinfo(dtype).max
     before = dist.codes.tobytes()
@@ -352,7 +354,7 @@ RAISED_NEIGHBOUR = symmetric(
     ids=["all-equal", "zero-one", "tied-old-neighbour", "raised-neighbour", "n2", "n3"],
 )
 def test_named_squares_match_argmin_oracle(square, expected):
-    merges = merge_tuples(build_dendrogram(PairwiseDistances.from_square(square)))
+    merges = merge_tuples(build_dendrogram(coded_square(square)))
     assert merges == argmin_dendrogram(square)
     if expected is not None:
         assert merges == expected
@@ -389,7 +391,7 @@ def test_topics_corpus_merge_list_matches_float_loop_at_n1000():
 
 
 def test_build_dendrogram_leaves_the_input_square_untouched():
-    dist = PairwiseDistances.from_square(random_square(np.random.default_rng(71), 30, discrete=True))
+    dist = coded_square(random_square(np.random.default_rng(71), 30, discrete=True))
     before = dist.codes.tobytes()
     build_dendrogram(dist)
     assert dist.codes.tobytes() == before
@@ -398,14 +400,16 @@ def test_build_dendrogram_leaves_the_input_square_untouched():
 
 @st.composite
 def coded_tie_heavy_squares(draw):
-    """Coded k/q squares in uint8, uint16 or uint32, some of them past 128
-    rows, where the restore of the codes moves on to its next band of rows."""
+    """Coded k/q squares in uint8, uint16 or uint32, of up to 40 rows or
+    of 129 to 300: the restore of the codes walks one to ten bands of 32
+    rows, each from a diagonal tile that overlaps its own transpose.
+    Squares wider than one tile have their own test below."""
     n = draw(st.one_of(st.integers(2, 40), st.integers(129, 300)))
     q = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     square = np.zeros((n, n))
     square[np.triu_indices(n, k=1)] = rng.integers(0, q + 1, size=n * (n - 1) // 2) / q
-    dist = PairwiseDistances.from_square(square + square.T)
+    dist = coded_square(square + square.T)
     return widened(dist, draw(st.sampled_from([np.uint8, np.uint16, np.uint32])))
 
 
@@ -418,10 +422,24 @@ def test_build_dendrogram_restores_the_codes_it_works_in(dist):
     assert merges == float_dendrogram(dist.levels[dist.codes])
 
 
-@pytest.mark.parametrize("fail_at", [0, 7, 198])
-def test_build_dendrogram_restores_the_codes_when_a_merge_raises(monkeypatch, fail_at):
-    dist = PairwiseDistances.from_square(random_square(np.random.default_rng(73), 200, discrete=True))
+@pytest.mark.parametrize("fail_at", [None, 0, 600])
+def test_build_dendrogram_restores_codes_wider_than_a_tile(monkeypatch, fail_at):
+    # past _TILE_COLS columns the restore reads each band in two tiles
+    square = random_square(np.random.default_rng(89), _TILE_COLS + 76, discrete=True)
+    dist = coded_square(square)
+    assert dist.codes.dtype == np.uint8
     before = dist.codes.tobytes()
+    if fail_at is None:
+        assert merge_tuples(build_dendrogram(dist)) == float_dendrogram(square)
+    else:
+        raise_at_merge(monkeypatch, fail_at)
+        with pytest.raises(RuntimeError, match="merge failed"):
+            build_dendrogram(dist)
+    assert dist.codes.tobytes() == before
+
+
+def raise_at_merge(monkeypatch, fail_at):
+    """Make ``build_dendrogram`` raise when it makes merge ``fail_at``."""
     made = []
 
     def failing_merge(**fields):
@@ -431,6 +449,13 @@ def test_build_dendrogram_restores_the_codes_when_a_merge_raises(monkeypatch, fa
         return Merge(**fields)
 
     monkeypatch.setattr(hac, "Merge", failing_merge)
+
+
+@pytest.mark.parametrize("fail_at", [0, 7, 198])
+def test_build_dendrogram_restores_the_codes_when_a_merge_raises(monkeypatch, fail_at):
+    dist = coded_square(random_square(np.random.default_rng(73), 200, discrete=True))
+    before = dist.codes.tobytes()
+    raise_at_merge(monkeypatch, fail_at)
     with pytest.raises(RuntimeError, match="merge failed"):
         build_dendrogram(dist)
     assert dist.codes.tobytes() == before
@@ -441,7 +466,7 @@ def test_build_dendrogram_makes_no_copy_of_the_codes():
     # in uint16, either way over the bound; the loop keeps a few words per
     # item and per merge
     n = 1000
-    dist = PairwiseDistances.from_square(random_square(np.random.default_rng(79), n, discrete=True))
+    dist = coded_square(random_square(np.random.default_rng(79), n, discrete=True))
     assert dist.codes.dtype == _code_dtype(dist.levels.size) == np.uint8
     for dtype in (np.uint8, np.uint16):
         dist = widened(dist, dtype)
@@ -457,7 +482,7 @@ def test_build_dendrogram_makes_no_copy_of_the_codes():
 
 @pytest.mark.parametrize("layout", ["read-only", "fortran"])
 def test_codes_the_loop_cannot_write_in_are_copied(layout):
-    dist = PairwiseDistances.from_square(random_square(np.random.default_rng(83), 40, discrete=True))
+    dist = coded_square(random_square(np.random.default_rng(83), 40, discrete=True))
     if layout == "fortran":
         codes = np.asfortranarray(dist.codes)
     else:
@@ -473,7 +498,7 @@ def test_merge_heights_match_scipy_without_ties():
     rng = np.random.default_rng(67)
     for _ in range(20):
         n = int(rng.integers(2, 40))
-        d = PairwiseDistances.from_square(random_square(rng, n))
+        d = coded_square(random_square(rng, n))
         assert len(set(d.values.tolist())) == d.values.size
         heights = [m.distance for m in build_dendrogram(d).merges]
         assert heights == linkage(d.values, "complete")[:, 2].tolist()
@@ -481,7 +506,7 @@ def test_merge_heights_match_scipy_without_ties():
 
 def test_dendrogram_needs_two_items():
     with pytest.raises(ValueError, match="two items"):
-        build_dendrogram(PairwiseDistances.from_square(np.zeros((1, 1))))
+        build_dendrogram(coded_square(np.zeros((1, 1))))
 
 
 def test_dendrogram_validates_merge_count_and_order():
@@ -503,7 +528,7 @@ def test_cut_worked_example():
         [0.6, 0.8, 0.0, 0.2],
         [0.7, 0.9, 0.2, 0.0],
     ]
-    tree = build_dendrogram(PairwiseDistances.from_square(square))
+    tree = build_dendrogram(coded_square(square))
     cut = cut_at_threshold(tree, 0.5)
     assert cut.groups == ((0, 1), (2, 3))
     assert cut.ungrouped == ()
@@ -512,21 +537,21 @@ def test_cut_worked_example():
 def test_cut_at_one_is_the_absolute_group():
     rng = np.random.default_rng(47)
     square = random_square(rng, 8)
-    tree = build_dendrogram(PairwiseDistances.from_square(square))
+    tree = build_dendrogram(coded_square(square))
     cut = cut_at_threshold(tree, 1.0)
     assert cut.groups == (tuple(range(8)),)
 
 
 def test_cut_at_zero_groups_nothing_when_distances_positive():
     square = [[0.0, 0.3, 0.4], [0.3, 0.0, 0.5], [0.4, 0.5, 0.0]]
-    tree = build_dendrogram(PairwiseDistances.from_square(square))
+    tree = build_dendrogram(coded_square(square))
     cut = cut_at_threshold(tree, 0.0)
     assert cut.groups == ()
     assert cut.ungrouped == (0, 1, 2)
 
 
 def test_cut_threshold_is_inclusive():
-    tree = build_dendrogram(PairwiseDistances.from_square([[0, 0.3], [0.3, 0]]))
+    tree = build_dendrogram(coded_square([[0, 0.3], [0.3, 0]]))
     assert cut_at_threshold(tree, 0.3).groups == ((0, 1),)
 
 
@@ -538,14 +563,14 @@ def test_cut_min_size_filter():
         [0.9, 0.9, 0.2, 0.0, 0.3],
         [0.9, 0.9, 0.3, 0.3, 0.0],
     ]
-    tree = build_dendrogram(PairwiseDistances.from_square(square))
+    tree = build_dendrogram(coded_square(square))
     cut = cut_at_threshold(tree, 0.5, min_size=3)
     assert cut.groups == ((2, 3, 4),)
     assert cut.ungrouped == (0, 1)
 
 
 def test_cut_validates_inputs():
-    tree = build_dendrogram(PairwiseDistances.from_square([[0, 0.3], [0.3, 0]]))
+    tree = build_dendrogram(coded_square([[0, 0.3], [0.3, 0]]))
     with pytest.raises(ValueError, match="alpha"):
         cut_at_threshold(tree, 1.5)
     with pytest.raises(ValueError, match="min_size"):
@@ -558,7 +583,7 @@ def test_cut_matches_naive_stop_early():
     for trial in range(12):
         n = int(rng.integers(2, 8))
         square = random_square(rng, n, discrete=trial % 2 == 0)
-        tree = build_dendrogram(PairwiseDistances.from_square(square))
+        tree = build_dendrogram(coded_square(square))
         for alpha in alphas:
             for min_size in (1, 2):
                 cut = cut_at_threshold(tree, alpha, min_size=min_size)
@@ -573,7 +598,7 @@ def test_nesting_across_thresholds():
     rng = np.random.default_rng(59)
     for _ in range(8):
         square = random_square(rng, 10)
-        tree = build_dendrogram(PairwiseDistances.from_square(square))
+        tree = build_dendrogram(coded_square(square))
         previous = None
         for alpha in [k / 10 for k in range(11)]:
             cut = cut_at_threshold(tree, alpha, min_size=1)
@@ -588,7 +613,7 @@ def test_grouped_items_grow_with_alpha():
     rng = np.random.default_rng(61)
     for _ in range(8):
         square = random_square(rng, 10, discrete=True)
-        tree = build_dendrogram(PairwiseDistances.from_square(square))
+        tree = build_dendrogram(coded_square(square))
         seen = set()
         for alpha in [k / 10 for k in range(11)]:
             cut = cut_at_threshold(tree, alpha)
@@ -622,11 +647,15 @@ def test_clustering_json_round_trip():
 def test_clustering_from_json_requires_fields():
     with pytest.raises(ValueError, match="ungrouped"):
         clustering_from_json_dict({"alpha": 0.5, "groups": []})
+    # a record that is not an object names that, not a Python internal
+    for record in ([1, 2], "alpha groups ungrouped", 5, None):
+        with pytest.raises(ValueError, match="^clustering JSON must be an object$"):
+            clustering_from_json_dict(record)
 
 
 def test_dendrogram_csv_lists_merges():
     tree = build_dendrogram(
-        PairwiseDistances.from_square([[0.0, 0.25, 0.5], [0.25, 0.0, 0.75], [0.5, 0.75, 0.0]])
+        coded_square([[0.0, 0.25, 0.5], [0.25, 0.0, 0.75], [0.5, 0.75, 0.0]])
     )
     text = dendrogram_to_csv(tree)
     rows = list(csv.reader(io.StringIO(text)))
