@@ -77,19 +77,18 @@ Pair distances are stored as rank codes.  Complete linkage only compares
 distances and takes their maxima, so any strictly increasing relabelling
 of them gives the same merges.  ``levels`` lists the distinct float64
 distances in increasing order, and ``codes`` holds, for every pair, the
-index of its distance in ``levels``: 1 byte a pair while the levels
-and a sentinel above them fit in one (at most 255 levels), else 2, or
-4 past 65,535 levels, instead of 8.  Both distance kinds come from
+index of its distance in ``levels``: 1 byte a pair up to 255 levels,
+else 2, or 4 past 65,535, instead of 8.  Both distance kinds come from
 integers q (energies, or counts of differing positions) through one
-float division, so the levels are the floats that the distinct integers
-give, and two integers whose floats round to the same value share a
-code.  The pairs of the n documents are the pairs (a, b) of distinct
-rows with a != b, and (a, a) for every row that two or more documents
-share; their distinct integers come from a table over 0..max(q) when it
-has at most u^2 entries, and from sorting those entries of the u x u
-square otherwise.  The n x n codes are then written from the u x u
-square a block of rows at a time, so no n x n float square is built,
-and no code square beside the n x n one.
+float division, so two integers whose floats round to one value share a
+code.  The pairs of the n documents are (a, b) for rows a != b, and
+(a, a) for each row a that two or more documents share: one integer per
+row, stamped over the diagonal, is q[a, a] for such a row and -1, no
+pair, for the others.  One walk over the ``_upper_tiles`` of the u x u
+square finds the distinct integers, marked in a table over 0..max(q)
+when it has at most u^2 entries, else kept and sorted once.  The u x u
+codes are written a block of rows at a time, then taken to n x n in one
+pass when documents share rows, so no n x n float square is built.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ def _upper_tiles(n: int):
     square once, diagonal included: each band of ``_BLOCK_ROWS`` rows from
     its diagonal on, in tiles of at most ``_TILE_COLS`` columns.  The
     first tile of a band also holds the lower half of its diagonal block.
-    Every read of a square against its transpose walks these tiles."""
+    Every read of a square's upper triangle walks these tiles."""
     for rows in _blocks(n):
         for col in range(rows.start, n, _TILE_COLS):
             yield rows, slice(col, min(col + _TILE_COLS, n))
@@ -176,12 +175,12 @@ def _distinct_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
     Each row is hashed once, as its cells packed 8 to a byte (any nonzero
     cell packs as 1); the keys are freed on return.  Sharing rows adds
-    the rows map (8n bytes) and, in each band of the codes, a gather over
-    u columns beside the n-wide one; a float32 square over u = n - 1 rows
-    saves only 8n - 4 bytes.  With 2u <= n every array built from the u
-    rows, each square and each band's temporaries, is at most its
-    counterpart over the n rows, so the energies and distances never take
-    more memory than without sharing.
+    the rows map (8n bytes) and the u x u codes beside the n x n ones; a
+    float32 square over u = n - 1 rows saves only 8n - 4 bytes.  With
+    2u <= n every array built from the u rows, each square and each
+    band's temporaries, is at most its counterpart over the n rows, so
+    the energies and distances never take more memory than without
+    sharing.
     """
     n = cells.shape[0]
     packed = np.packbits(cells if cells.dtype.kind in "biu" else cells != 0, axis=1)
@@ -358,65 +357,65 @@ def _coded_distances(
     ids: tuple[str, ...] | None,
     rows: np.ndarray | None,
 ) -> PairwiseDistances:
-    """Distances of n documents from a u x u square of exact non-negative
-    integers q over their distinct rows.
-
-    Document i has row ``rows[i]`` of q; ``rows`` of None stands for
-    row i, and then u = n.  ``top`` is the largest entry of q.  The
-    distance of documents (i, j) is q[rows[i], rows[j]] / divisor
-    (``_integer_levels``); a ``divisor`` of None stands for the largest
-    q of a pair.  The pairs read q at (a, b) with a != b, and at (a, a)
-    for every row a that two or more documents share; the other
-    diagonal entries are ignored.  ``q`` is an ``EnergyMatrix`` square,
-    which checked its integers, or the Hamming count, exact as built, so
-    every cast of an entry is exact.  It may hold the integers as floats;
-    it is read in blocks of ``_BLOCK_ROWS`` rows, and never cast whole.
+    """Distances of n documents from a u x u square q of exact non-negative
+    integers over their distinct rows: document i has row ``rows[i]``
+    (row i, and u = n, when ``rows`` is None), and the distance of the
+    pair (i, j) is q[rows[i], rows[j]] / divisor (``_integer_levels``).
+    ``top`` bounds q; a ``divisor`` of None stands for the largest q of a
+    pair.  ``q`` is an ``EnergyMatrix`` square, which checked its
+    integers, or the Hamming count, exact as built, so every cast of an
+    entry is exact; it may hold floats, and is read a tile or a block of
+    rows at a time, never cast whole.
     """
     u = q.shape[0]
-    n = u if rows is None else rows.size
-    shared = None if rows is None else np.bincount(rows) > 1
+    # the pair rule, stamped over the diagonal of each band's first tile;
+    # its -1 lands in seen[-1], past top, or sorts first
+    pairs = np.broadcast_to(-1, u)
+    if rows is not None:
+        pairs = np.where(np.bincount(rows) > 1, q.diagonal().astype(np.intp), -1)
     table = top < u * u
     if table:
-        # Each block is read from its diagonal on, which covers the upper
-        # triangle; seen[top + 1] absorbs the diagonal, and the diagonal
-        # entries of shared rows are marked after.
         seen = np.zeros(top + 2, dtype=bool)
-        for band in _blocks(u):
-            block = q[band, band.start :].astype(np.intp)
-            block.ravel()[:: u - band.start + 1] = top + 1
+    else:
+        # the integers of every tile, sorted once after the walk
+        kept = np.empty(sum(q[tile].size for tile in _upper_tiles(u)), dtype=np.intp)
+        end = 0
+    # ``block`` is rebound in the codes pass below, which frees the last tile
+    for band, cols in _upper_tiles(u):
+        block = q[band, cols].astype(np.intp)
+        if cols.start == band.start:
+            np.fill_diagonal(block, pairs[band])
+        if table:
             seen[block] = True
-        if shared is not None:
-            seen[q.diagonal()[shared].astype(np.intp)] = True
+        else:
+            kept[end : end + block.size] = block.ravel()
+            end += block.size
+    if table:
         distinct = np.flatnonzero(seen[:-1])
     else:
-        pairs = np.triu(np.ones((u, u), dtype=bool), k=1)
-        if shared is not None:
-            np.fill_diagonal(pairs, shared)
-        upper = q[pairs].astype(np.int64, copy=False)
-        del pairs
-        upper.sort()
-        distinct = upper[np.concatenate(([True], upper[1:] != upper[:-1]))]
-        del upper
-    levels, ranks = _integer_levels(
-        distinct, int(distinct[-1]) if divisor is None else divisor, inverted
-    )
-    codes = np.empty((n, n), dtype=_code_dtype(levels.size))
+        kept.sort()
+        kept = kept[np.searchsorted(kept, 0) :]
+        distinct = kept[np.concatenate(([True], kept[1:] != kept[:-1]))]
+        del kept
+    divisor = int(distinct[-1]) if divisor is None else divisor
+    levels, ranks = _integer_levels(distinct, divisor, inverted)
+    codes = np.empty((u, u), dtype=_code_dtype(levels.size))
     if table:
         lookup = np.zeros(top + 1, dtype=codes.dtype)
         lookup[distinct] = ranks
     else:
         lookup = ranks.astype(codes.dtype)
-    for band in _blocks(n):
-        block = q[band] if rows is None else q[rows[band]]
+    for band in _blocks(u):
+        block = q[band]
         index = block.astype(np.intp, copy=False) if table else np.searchsorted(distinct, block)
-        # a diagonal entry may index past the last rank; it is clipped
-        # here and set to the code of 0.0 below (clipping also spares
-        # ``take`` a buffer for ``out``)
-        if rows is None:
-            np.take(lookup, index, out=codes[band], mode="clip")
-        else:
-            coded = lookup.take(index, mode="clip")
-            coded.take(rows, axis=1, out=codes[band], mode="clip")
+        # an entry that is no pair may index past the last rank: clipped,
+        # it is set to 0 below (clipping also spares ``take`` a buffer)
+        np.take(lookup, index, out=codes[band], mode="clip")
+    if rows is not None:
+        # each document takes its row's codes, a block of documents at a time
+        square, codes = codes, np.empty((rows.size, rows.size), dtype=codes.dtype)
+        for band in _blocks(rows.size):
+            square.take(rows[band], axis=0).take(rows, axis=1, out=codes[band], mode="clip")
     np.fill_diagonal(codes, 0)
     return PairwiseDistances(codes, levels, ids=ids)
 
@@ -487,7 +486,7 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
         raise ValueError("need at least two documents to form pairs")
     distinct, rows = _distinct_rows(cells)
     # G_ab <= p, and the in-place -2 G_ab + t_a + t_b below stays within
-    # [-2p, 2p]
+    # [-2p, 2p] and ends at most p, the top of the codes
     arr = distinct.astype(_exact_float(2 * p), copy=False)
     del distinct
     gram = arr @ arr.T
@@ -500,7 +499,7 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
     gram *= -2
     gram += ones[:, None]
     gram += ones[None, :]
-    return _coded_distances(gram, int(gram.max()), p, False, ids, rows)
+    return _coded_distances(gram, p, p, False, ids, rows)
 
 
 def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:

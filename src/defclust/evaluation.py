@@ -101,22 +101,17 @@ class GoldAnnotation:
         return cls(sense_of=sense_of)
 
 
-def _sense_counts(group: Sequence, gold: GoldAnnotation) -> tuple[list, Counter]:
-    """Gold sense of each member of a group, and the count of each sense."""
+def _sense_and_intruders(group: Sequence, gold: GoldAnnotation) -> tuple[object, set]:
+    """Most frequent gold sense in a group, and the members whose label
+    differs from it; ties on the majority count go to the label of the
+    lowest document id among the tied labels' carriers."""
     labels = []
     for member in group:
         try:
             labels.append(gold.sense_of[member])
         except KeyError:
             raise DataError(f"no gold sense for grouped document {member!r}") from None
-    return labels, Counter(labels)
-
-
-def _sense_and_intruders(group: Sequence, gold: GoldAnnotation) -> tuple[object, set]:
-    """Most frequent gold sense in a group, and the members whose label
-    differs from it; ties on the majority count go to the label of the
-    lowest document id among the tied labels' carriers."""
-    labels, counts = _sense_counts(group, gold)
+    counts = Counter(labels)
     top = max(counts.values())
     sense = min(
         (member, label) for member, label in zip(group, labels) if counts[label] == top
@@ -237,13 +232,12 @@ def score_clustering(clustering: Clustering, total: int, gold: GoldAnnotation) -
     """Group count, recall over ``total`` documents, precision and zone.
 
     A group of ``size`` members holds ``size - top`` intruders (see the
-    module docstring), so its sense counts alone give its precision.
+    module docstring), so its size less its intruders is its top count.
     """
     grouped = majority = 0
     for group in clustering.labeled_groups():
-        _, counts = _sense_counts(group, gold)
         grouped += len(group)
-        majority += max(counts.values())
+        majority += len(group) - len(_sense_and_intruders(group, gold)[1])
     return _row(clustering.alpha, len(clustering.groups), grouped, majority, total)
 
 

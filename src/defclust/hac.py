@@ -271,9 +271,10 @@ def clustering_from_json_dict(record: dict) -> Clustering:
     """Rebuild a Clustering from its JSON form (labels become items).
 
     ``alpha`` must pass :func:`check_alpha`, ``groups`` must be a list of
-    non-empty lists and ``ungrouped`` a list, at least one label must occur
-    and no label may occur twice; anything else, a record that is not a
-    dict included, raises ``ValueError``.
+    non-empty lists and ``ungrouped`` a list, the labels must be all
+    strings or all integers (not bools), at least one must occur and none
+    may occur twice; anything else, a record that is not a dict included,
+    raises ``ValueError``.
     """
     if not isinstance(record, dict):
         raise ValueError("clustering JSON must be an object")
@@ -287,9 +288,13 @@ def clustering_from_json_dict(record: dict) -> Clustering:
         raise ValueError("groups must be a list of non-empty lists")
     if not isinstance(record["ungrouped"], list):
         raise ValueError("ungrouped must be a list")
+    listed = [label for group in record["groups"] for label in group] + record["ungrouped"]
+    # labels are hashed and sorted below, so they must be of one kind
+    kinds = {type(label) for label in listed}
+    if not (kinds <= {str} or kinds <= {int}):
+        raise ValueError("labels must be all strings or all integers")
     seen = set()
-    grouped = [label for group in record["groups"] for label in group]
-    for label in grouped + record["ungrouped"]:
+    for label in listed:
         if label in seen:
             raise ValueError(f"label {label!r} occurs more than once")
         seen.add(label)

@@ -352,10 +352,14 @@ def test_eval_rejects_non_clustering_json(tmp_path, gold_file, capsys):
         [1, 2],
         "alpha groups ungrouped",
         5,
+        {"alpha": 0.5, "groups": [[["x"], "y"]], "ungrouped": []},
+        {"alpha": 0.5, "groups": [[1, "a"]], "ungrouped": []},
+        {"alpha": 0.5, "groups": [[1, True]], "ungrouped": []},
     ],
     ids=["empty-group", "alpha-5", "label-in-two-groups", "label-grouped-and-ungrouped",
          "groups-string", "alpha-true", "alpha-string", "no-documents",
-         "list", "string", "number"],
+         "list", "string", "number", "label-list", "labels-int-and-str",
+         "labels-int-and-bool"],
 )
 @pytest.mark.parametrize("command", ["eval", "report"])
 def test_malformed_clustering_is_a_located_data_error(
@@ -372,6 +376,9 @@ def test_malformed_clustering_is_a_located_data_error(
     assert f"error: {path}: not a clustering file" in err
     if not isinstance(record, dict):
         assert err.endswith("(clustering JSON must be an object)\n"), err
+    elif any(not isinstance(label, str) for group in record["groups"] for label in group):
+        # labels that cannot be hashed or sorted together
+        assert err.endswith("(labels must be all strings or all integers)\n"), err
 
 
 @pytest.mark.parametrize("command", ["sweep", "eval"])

@@ -775,6 +775,41 @@ def test_shared_rows_in_the_gram_order_build_no_u_by_n_block():
     assert peak < 4 * u * n, peak / (4 * u * n)
 
 
+@pytest.mark.parametrize("u", [400, 800])
+def test_sorted_triangle_peaks_below_eight_squares(u):
+    # Topics energies scaled by u^2 keep their levels and reach u^2, so
+    # the distinct ones are found by sorting the integers of the upper
+    # tiles (about 4 u^2 bytes in int64); a bool mask of the triangle
+    # beside them, and a float64 copy of its entries, took 9 u^2.
+    energy = energy_matrix(build_matrix(topics_documents(u)))
+    scaled = EnergyMatrix(energy.gram_sq.astype(np.float64) * (u * u))
+    assert energy.rows is None and scaled.peak >= u * u
+    energy_distance_vector(scaled)
+    dist, peak = traced_peak(energy_distance_vector, scaled)
+    assert dist.codes.tobytes() == energy_distance_vector(energy).codes.tobytes()
+    assert peak < 8 * u * u, peak / (u * u)
+
+
+def test_unsigned_squares_mark_unshared_rows_like_int64():
+    # Rows 0-6 are shared by three documents each and row 7 by one: the
+    # pair rule marks row 7's diagonal with -1, which an unsigned square
+    # must not turn into its largest value.  Scaled by u^2 = 64 the
+    # energies take the sorted triangle in place of the table.
+    pool = np.hstack([np.eye(8, dtype=np.uint8), (np.arange(8) < 4)[:, None].astype(np.uint8)])
+    energy = energy_matrix(np.vstack([pool[:7]] * 3 + [pool[7:]]))
+    assert np.bincount(energy.rows).tolist() == [3] * 7 + [1]
+    q = energy.gram_sq.astype(np.int64)
+    for scale, dtypes in ((1, (np.uint8, np.uint16, np.uint64)), (64, (np.uint16, np.uint64))):
+        assert (q.max() * scale < 64) == (scale == 1)
+        for mode in DISTANCE_MODES:
+            expected = energy_distance_vector(EnergyMatrix(q * scale, rows=energy.rows), mode)
+            for dtype in dtypes:
+                square = EnergyMatrix((q * scale).astype(dtype), rows=energy.rows)
+                got = energy_distance_vector(square, mode)
+                assert got.codes.tobytes() == expected.codes.tobytes(), (scale, dtype)
+                assert got.levels.tobytes() == expected.levels.tobytes(), (scale, dtype)
+
+
 def test_integers_that_round_to_one_float_share_a_code():
     # Near 2^53, 1.0 - q / peak gives one float for two integers; the
     # pipeline never reaches such a peak, so the level builder is called

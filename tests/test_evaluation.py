@@ -492,13 +492,13 @@ def test_report_shows_senses_intruders_and_note():
 
 def test_report_counts_each_groups_senses_once(monkeypatch):
     calls = []
-    sense_counts = evaluation._sense_counts
+    sense_and_intruders = evaluation._sense_and_intruders
 
     def counting(group, gold):
         calls.append(tuple(group))
-        return sense_counts(group, gold)
+        return sense_and_intruders(group, gold)
 
-    monkeypatch.setattr(evaluation, "_sense_counts", counting)
+    monkeypatch.setattr(evaluation, "_sense_and_intruders", counting)
     c = clustering_of([(0, 1, 2), (3, 4)], (5,), alpha=0.4)
     gold = GoldAnnotation({i: "s1" if i < 2 or i == 4 else "s2" for i in range(6)})
     report = format_cluster_report(c, gold=gold)

@@ -653,6 +653,15 @@ def test_clustering_from_json_requires_fields():
             clustering_from_json_dict(record)
 
 
+def test_clustering_from_json_takes_labels_of_one_kind():
+    back = clustering_from_json_dict({"alpha": 0.5, "groups": [[3, 1]], "ungrouped": [2]})
+    assert back.ids == (1, 2, 3) and back.labeled_groups() == [[1, 3]]
+    # a list is not hashable, and str and int do not sort together
+    for labels in ([["x"], "y"], [1, "a"], [1, True], [True, False], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="^labels must be all strings or all integers$"):
+            clustering_from_json_dict({"alpha": 0.5, "groups": [labels], "ungrouped": []})
+
+
 def test_dendrogram_csv_lists_merges():
     tree = build_dendrogram(
         coded_square([[0.0, 0.25, 0.5], [0.25, 0.0, 0.75], [0.5, 0.75, 0.0]])

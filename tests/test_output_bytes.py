@@ -5,7 +5,9 @@ pin the bytes themselves, raw energy and Hamming included, so a change to
 how distances are stored or walked cannot move them unnoticed.  A change
 meant to alter output bytes re-records the digests and says why.  The
 bundled records written three times over pin the case where many
-documents share one row of the document-term matrix.
+documents share one row of the document-term matrix, and the first 20
+``ventana`` records without stopwords the case whose distinct energies
+are found by sorting, not through a table.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ from importlib import resources
 import pytest
 
 from defclust.cli import main
+from defclust.corpus import build_matrix, load_corpus
+from defclust.distance import energy_matrix
 
 DISTANCE_FLAGS = {
     "energy": ["--distance", "energy"],
@@ -56,6 +60,20 @@ PINNED_TRIPLED = {
 }
 
 
+# the same for the first 20 bundled ventana records without stopwords,
+# whose energies reach u^2 and so take the sorted upper triangle
+PINNED_VENTANA = {
+    "energy": (
+        "5082ace8b2e1267df272ef39aa3b62e47430d3df29eaad3f2e1dae319de533b0",
+        "1fe09ea8545b813c94b9c25d15d7e45804b38fee8f53123edbb328957ad3e187",
+    ),
+    "energy-raw": (
+        "20d59cad251462255cd1558e947acd84551f9e3dfeeabc0e829dddfd17fb6399",
+        "6b3b7ba80fe9b712870cddce81cd264cf9626625e613aabbda983a7a34845961",
+    ),
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -71,9 +89,11 @@ def _tripled_corpus(path) -> str:
     return str(path)
 
 
-def _output_digests(corpus, flags, tmp_path) -> tuple[str, str]:
-    """sha256 of the ``sweep`` CSV and the ``cluster --alpha 0.5`` JSON."""
-    stopwords = ["--stopwords", str(resources.files("defclust.data") / "spanish_stopwords.txt")]
+def _output_digests(corpus, flags, tmp_path, stopwords=True) -> tuple[str, str]:
+    """sha256 of the ``sweep`` CSV and the ``cluster --alpha 0.5`` JSON,
+    with the bundled stopwords unless ``stopwords`` is false."""
+    data = resources.files("defclust.data")
+    stopwords = ["--stopwords", str(data / "spanish_stopwords.txt")] if stopwords else []
     sweep_csv = tmp_path / "sweep.csv"
     cluster_json = tmp_path / "cluster.json"
     assert main(["sweep", corpus, *stopwords, *flags, "-o", str(sweep_csv)]) == 0
@@ -93,6 +113,23 @@ def test_bundled_corpus_output_bytes_are_pinned(setting, tmp_path, capsys):
 def test_tripled_corpus_output_bytes_are_pinned(setting, tmp_path):
     corpus = _tripled_corpus(tmp_path / "tripled.jsonl")
     assert _output_digests(corpus, DISTANCE_FLAGS[setting], tmp_path) == PINNED_TRIPLED[setting]
+
+
+@pytest.mark.parametrize("setting", sorted(PINNED_VENTANA))
+def test_sorted_triangle_output_bytes_are_pinned(setting, tmp_path):
+    lines = resources.files("defclust.data").joinpath("synthetic_definitions.jsonl")
+    ventana = [
+        line for line in lines.read_text(encoding="utf-8").splitlines()
+        if json.loads(line)["term"] == "ventana"
+    ][:20]
+    corpus = tmp_path / "ventana.jsonl"
+    corpus.write_text("".join(line + "\n" for line in ventana), encoding="utf-8")
+    energy = energy_matrix(build_matrix(load_corpus(corpus)))
+    u = len(energy.gram_sq)
+    # 20 distinct rows whose peak reaches u^2: no table over 0..peak is made
+    assert energy.rows is None and u == 20 and energy.peak >= u * u
+    digests = _output_digests(str(corpus), DISTANCE_FLAGS[setting], tmp_path, stopwords=False)
+    assert digests == PINNED_VENTANA[setting]
 
 
 EVAL_LINE = (
