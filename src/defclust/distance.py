@@ -15,10 +15,11 @@ Identical documents have identical rows of X, and so identical rows of
 G and of G G.  ``energy_matrix`` therefore finds the u distinct rows of
 X once, as the u x p matrix U with the class size w_c of each row (the
 number of documents that share it, W = diag(w)), and computes only the
-u x u square of the distinct rows.  Document i reads its energies from
-row ``rows[i]`` of that square.  With H = U U^T, the square is
+energies of the distinct rows, a u x u square.  Document i reads its
+energies from row ``rows[i]`` of that square.  With H = U U^T, the
+square is
 
-    (G G)_ab = sum_k G_ak G_kb = sum_c H_ac w_c H_cb,
+    E_ab = (G G)_ab = sum_k G_ak G_kb = sum_c H_ac w_c H_cb,
 
 that is H W H = U (U^T W U) U^T.  A term H_ac (w_c H_cb) of H (W H)
 adds as one the w_c equal terms of the original n-term sum whose
@@ -30,38 +31,56 @@ rows are shared only when 2u <= n (see ``_distinct_rows``); otherwise
 every document keeps its own row, u is taken to be n, the weights are
 left out, and the products are those of X itself.
 
-The product runs in floating point, so numpy hands it to BLAS, and the
-result is kept in that float type as ``gram_sq``: every entry is an
-exact integer, so no integer copy is made.  With p terms, the order is
-the one of fewer multiply-adds: U (U^T W U) U^T takes 2 u p^2 + u^2 p,
-and H then H (W H) takes u^2 p + u^3, so the first is taken when
-2 p^2 < u^2.  With u = n these are X (X^T X) X^T and (X X^T)(X X^T),
-and then G G runs as G G^T, which numpy hands to BLAS syrk.  This is
-exact integer arithmetic: every cell is 0 or 1, so every product term
-is a non-negative integer, and any partial sum, in any blocking, thread
-split or FMA order, is a sum of a subset of an entry's terms and so at
-most that entry.  The intermediate entries are bounded by the result
-too: (U^T W U)_kl <= n, (W H)_cb = w_c H_cb <= n * t_max, and
-(U U^T W U)_ak = sum_c H_ac w_c U_ck is at most sum_c w_c H_ac^2, the
-diagonal entry gram_sq[a, a].  With t_max the largest number of distinct
-terms in one document, H_ac <= t_max, so every entry, intermediate and
-partial sum is at most n * t_max^2, whatever u is.  A float type holds
-every integer below its limit exactly, 2^24 for float32 and 2^53 for
-float64, so the product runs in float32 when n * t_max^2 < 2^24 and in
-float64 otherwise, and either way every entry equals the int64 product.
-float32 halves the product's memory and about halves its time; it
-covers, for instance, 4,000 documents of up to 64 terms each, and then
-the float32 square (4 u^2 bytes) and the n x n rank codes below are
-nearly all the memory from the product to the distances.  In
-float64 the bound is only reached at n * t_max^2 >= 2^53
-(``EXACT_INT_LIMIT``): for instance 10,000 documents of about 950,000
-terms each, far beyond any n x n matrix that fits in memory.
-``EnergyMatrix`` checks the computed maximum: rounding is monotone, so a
-maximum below 2^53 also proves that no entry reached it, and at or above
-the limit ``DataError`` is raised.  It takes that maximum in the sweep
-that checks symmetry, sign and whole numbers, so the distances cast the
-entries unchecked.  The Hamming count takes the same rule with the bound
-2p (``hamming_distance_vector``), over the same distinct rows.  The 1/2
+The products run in floating point, so numpy hands them to BLAS, and
+they are kept in that float type: every entry is an exact integer, so
+no integer copy is made.  With p terms, the order is the one of fewer
+multiply-adds: U (U^T W U) U^T takes 2 u p^2 + u^2 p, and H then
+H (W H) takes u^2 p + u^3, so the first, the factor order, is taken
+when 2 p^2 < u^2.  With u = n these are X (X^T X) X^T and
+(X X^T)(X X^T), and then G G runs as G G^T, which numpy hands to BLAS
+syrk.  In the factor order ``energy_matrix`` stops at the factors: U,
+kept as its uint8 cells, and the u x p matrix B = U (U^T W U).  U^T W U
+and B are built over blocks of rows of U, so that no float copy of the
+whole of U is made.  The square U B^T is never built whole: the
+distances read it one tile at a time (``_upper_tiles``), the product of
+a block of rows of B with a band of U, cast once to floats.  In the
+Gram order ``energy_matrix`` keeps the square H (W H).
+
+This is exact integer arithmetic: every cell is 0 or 1, so every
+product term is a non-negative integer, and any partial sum, in any
+blocking, thread split or FMA order, is a sum of a subset of an entry's
+terms and so at most that entry.  The intermediate entries are bounded
+by the result too: (U^T W U)_kl <= n, (W H)_cb = w_c H_cb <= n * t_max,
+and B_ak = sum_c H_ac w_c U_ck is at most sum_c w_c H_ac^2 = E_aa, the
+energy of row a with itself, since the integer H_ac is 0, where both
+terms vanish, or at least 1, where H_ac U_ck <= H_ac <= H_ac^2.  The
+square is a Gram matrix, E = (H W^1/2)(H W^1/2)^T, so E_ab <=
+sqrt(E_aa E_bb): the largest energy, the ``peak``, lies on the
+diagonal, and every entry, intermediate and partial sum is at most
+that peak.  With t_max the largest number of distinct terms in one
+document, H_ac <= t_max, so all of them are at most n * t_max^2,
+whatever u is.  A float type holds every integer below its limit
+exactly, 2^24 for float32 and 2^53 for float64, so the product runs in
+float32 when n * t_max^2 < 2^24 and in float64 otherwise, and either
+way every entry equals the int64 product.  float32 halves the
+product's memory and about halves its time; it covers, for instance,
+4,000 documents of up to 64 terms each.  Then from the product to the
+distances nearly all the memory is the rank codes below and, in the
+factor order, U and B (5 u p bytes) or, in the Gram order, the float32
+square (4 u^2 bytes).  In float64 the bound is only reached at
+n * t_max^2 >= 2^53 (``EXACT_INT_LIMIT``): for instance 10,000
+documents of about 950,000 terms each, far beyond any n x n matrix that
+fits in memory.  ``energy_matrix`` checks the computed peak, the
+largest diagonal entry, with E_aa = sum_k B_ak U_ak taken as B is built
+in the factor order: every operand is non-negative and rounding is
+monotone, so a computed value is exact while its exact value stays
+below 2^53 and at least 2^53 once the exact value reaches it, and a
+peak below 2^53 proves that no entry reached the limit; at or above it
+``DataError`` is raised.  A hand-built ``EnergyMatrix`` may hold any
+square, so it takes the maximum in the sweep that checks symmetry, sign
+and whole numbers; either way the distances cast the entries
+unchecked.  The Hamming count takes the same rule with the bound 2p
+(``hamming_distance_vector``), over the same distinct rows.  The 1/2
 factor and the max-normalization move to floating point only at the
 distance step (halving and a single division of integers below 2^53 are
 exact/correctly rounded, so results are deterministic).
@@ -82,13 +101,18 @@ else 2, or 4 past 65,535, instead of 8.  Both distance kinds come from
 integers q (energies, or counts of differing positions) through one
 float division, so two integers whose floats round to one value share a
 code.  The pairs of the n documents are (a, b) for rows a != b, and
-(a, a) for each row a that two or more documents share: one integer per
-row, stamped over the diagonal, is q[a, a] for such a row and -1, no
-pair, for the others.  One walk over the ``_upper_tiles`` of the u x u
-square finds the distinct integers, marked in a table over 0..max(q)
-when it has at most u^2 entries, else kept and sorted once.  The u x u
-codes are written a block of rows at a time, then taken to n x n in one
-pass when documents share rows, so no n x n float square is built.
+(a, a) for each row a that two or more documents share: each band's
+first tile keeps q[a, a] on its diagonal for such a row and takes -1,
+no pair, for the others.  One walk over the ``_upper_tiles`` of the
+u x u square finds the distinct integers, marked in a table over
+0..max(q) when it has at most u^2 entries, else kept and sorted once.
+A second walk reads the tiles again and writes their codes on both
+sides of the diagonal, so the two walks together take the
+multiply-adds of one square.  The tiles come from the factors, from a
+square, or, for the Hamming count t_a + t_b - 2 H_ab (t_a the terms of
+row a), from the product of U with itself.  The u x u codes are then
+taken to n x n in one pass when documents share rows, so no n x n float
+square is built.
 """
 
 from __future__ import annotations
@@ -108,14 +132,17 @@ DISTANCE_MODES = ("inverted", "raw")
 EXACT_INT_LIMIT = 2**53
 """Energies must stay below this: float64 holds every smaller integer exactly."""
 
-_BLOCK_ROWS = 32
-"""Rows of an n x n square handled at a time, so that no whole-square
-temporary is made."""
+_BLOCK_ROWS = 64
+"""Rows of a square handled at a time, so that no whole-square temporary
+is made: of the bands of ``_upper_tiles``, and of B as it is built.  At
+n = 1000 the product tiles of 64-row bands take a quarter less time
+than those of 32, and a sweep of a few hundred documents peaks a
+quarter higher with 128-row bands than with 64."""
 
 
-def _blocks(n: int) -> list[slice]:
-    """Consecutive slices of ``_BLOCK_ROWS`` rows covering 0..n."""
-    return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
+def _blocks(n: int, rows: int = _BLOCK_ROWS) -> list[slice]:
+    """Consecutive slices of ``rows`` rows covering 0..n."""
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 _TILE_COLS = 1024
@@ -175,8 +202,8 @@ def _distinct_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
     Each row is hashed once, as its cells packed 8 to a byte (any nonzero
     cell packs as 1); the keys are freed on return.  Sharing rows adds
-    the rows map (8n bytes) and the u x u codes beside the n x n ones; a
-    float32 square over u = n - 1 rows saves only 8n - 4 bytes.  With
+    the rows map (8n bytes) and the u x u codes beside the n x n ones,
+    while u = n - 1 rows save only one row of each product.  With
     2u <= n every array built from the u rows, each square and each
     band's temporaries, is at most its counterpart over the n rows, so
     the energies and distances never take more memory than without
@@ -195,35 +222,63 @@ def _distinct_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return cells[firsts], np.searchsorted(firsts, first_of)
 
 
-@dataclass(frozen=True)
+def _fill(obj, **fields):
+    """``obj`` with ``fields`` set, though its class is frozen; on
+    ``object.__new__(cls)`` it makes an instance with none of the checks
+    of ``cls``, for what the library writes from checked inputs."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _checked_peak(peak, n: int) -> int:
+    """``peak`` as an int, or ``DataError`` at or above ``EXACT_INT_LIMIT``."""
+    if peak >= EXACT_INT_LIMIT:
+        raise DataError(
+            f"second-order energy {peak} for n={n} documents "
+            f"reaches the exact-integer limit 2^53 = {EXACT_INT_LIMIT}"
+        )
+    return int(peak)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class EnergyMatrix:
     """Pairwise interaction-energy magnitudes |e_ij|.
 
-    ``gram_sq`` holds the integer matrix (U U^T) W (U U^T) of the u
+    ``gram_sq`` is the integer matrix (U U^T) W (U U^T) of the u
     distinct document rows (see the module docstring), and document i
     has its row ``rows[i]``, so e_ij = gram_sq[rows[i], rows[j]] / 2.
-    ``rows`` of None stands for one row per document.  Its entries are
-    exact non-negative integers, held as int64 or as floats
-    (``energy_matrix`` keeps the float type of its product).  It must be
-    symmetric, every entry must stay below ``EXACT_INT_LIMIT``, and
-    ``rows`` must use every row; ``peak`` is the largest entry, the
-    largest of the n x n energies too.  Symmetry, sign, whole numbers
-    and ``peak`` come from one sweep of ``_symmetric_tiles``.
+    ``rows`` of None stands for one row per document.  ``peak`` is the
+    largest entry, the largest of the n x n energies too.
+
+    ``EnergyMatrix(gram_sq, ids, rows)`` holds a square of exact
+    non-negative integers, as int64 or as floats.  It must be symmetric,
+    every entry must stay below ``EXACT_INT_LIMIT``, and ``rows`` must
+    use every row; symmetry, sign, whole numbers and ``peak`` come from
+    one sweep of ``_symmetric_tiles``.  ``energy_matrix`` builds it from
+    checked cells with none of these sweeps.  In the factor order it
+    holds only the factors: U as uint8 cells (the matrix's own array
+    when that is uint8 and no row is shared) and B = U (U^T W U) in the
+    float type of the product.  ``gram_sq`` is then U B^T, built in that
+    float type on each access, and so are ``values``.  In the Gram order
+    it holds the square.
     """
 
-    gram_sq: np.ndarray
-    ids: tuple[str, ...] | None = None
-    rows: np.ndarray | None = None
-    peak: int = field(init=False, repr=False, compare=False)
+    ids: tuple[str, ...] | None
+    rows: np.ndarray | None
+    peak: int = field(repr=False)
+    # U, or None when ``_product`` is the square itself
+    _cells: np.ndarray | None = field(repr=False)
+    _product: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        q = self.gram_sq
+    def __init__(self, gram_sq, ids=None, rows=None) -> None:
+        q = gram_sq
         if not isinstance(q, np.ndarray) or q.dtype.kind not in "biuf":
             raise ValueError("energy matrix must be a bool, integer or float array")
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("energy matrix must be square")
-        if self.rows is not None:
-            rows = np.asarray(self.rows)
+        if rows is not None:
+            rows = np.asarray(rows)
             if rows.ndim != 1 or rows.dtype.kind not in "iu":
                 raise ValueError("rows must be a one-dimensional integer array")
             if rows.size and not (0 <= rows.min() and rows.max() < q.shape[0]):
@@ -232,7 +287,6 @@ class EnergyMatrix:
             # an unused row would add its entries to the distance levels
             if not np.bincount(rows, minlength=q.shape[0]).all():
                 raise ValueError("rows must use every row of the energy matrix")
-            object.__setattr__(self, "rows", rows)
         peak = 0
         for upper in _symmetric_tiles(q, "energy matrix must be symmetric"):
             if upper.min() < 0:
@@ -241,24 +295,31 @@ class EnergyMatrix:
             if q.dtype.kind == "f" and not (np.trunc(upper) == upper).all():
                 raise ValueError("pair distances need whole numbers, got a fraction")
             peak = max(peak, upper.max())
-        if peak >= EXACT_INT_LIMIT:
-            raise DataError(
-                f"second-order energy {peak} for n={self.n} documents "
-                f"reaches the exact-integer limit 2^53 = {EXACT_INT_LIMIT}"
-            )
-        if self.ids is not None and len(self.ids) != self.n:
+        n = q.shape[0] if rows is None else rows.size
+        peak = _checked_peak(peak, n)
+        if ids is not None and len(ids) != n:
             raise ValueError("ids length must match the number of documents")
-        object.__setattr__(self, "peak", int(peak))
+        _fill(self, ids=ids, rows=rows, peak=peak, _cells=None, _product=q)
 
     @property
     def n(self) -> int:
         """The number of documents."""
-        return self.gram_sq.shape[0] if self.rows is None else self.rows.size
+        return self._product.shape[0] if self.rows is None else self.rows.size
+
+    @property
+    def gram_sq(self) -> np.ndarray:
+        """The u x u square, in the float type of the product when
+        ``energy_matrix`` built it; from the factors it is a new array."""
+        if self._cells is None:
+            return self._product
+        return self._cells.astype(self._product.dtype) @ self._product.T
 
     @property
     def values(self) -> np.ndarray:
         """n x n energy magnitudes e_ij as float64 (exact halves of integers)."""
-        q = self.gram_sq if self.rows is None else self.gram_sq[np.ix_(self.rows, self.rows)]
+        q = self.gram_sq
+        if self.rows is not None:
+            q = q[np.ix_(self.rows, self.rows)]
         return np.divide(q, 2.0, dtype=np.float64)
 
 
@@ -339,52 +400,86 @@ def _integer_levels(
     divisor gives q itself, which is then 0.  Division and subtraction
     round monotonically, so the floats ascend with q (descend when
     inverted), and integers that round to one float share its code.
-    0.0 is always the first level.  The neighbour mask stands in for
-    ``np.unique``, whose first call imports ``numpy.ma``.
+    0.0 is always the first level.  The floats are written in place into
+    one float64 buffer after that 0.0, and one bool buffer marks each
+    float that differs from the one before it: the levels are the marked
+    floats, and the codes the running count of marks, in the codes' own
+    dtype.  The marks stand in for ``np.unique``, whose first call
+    imports ``numpy.ma``.
     """
-    x = distinct / divisor if divisor else distinct.astype(np.float64)
-    values = np.concatenate(([0.0], 1.0 - x[::-1] if inverted else x))
-    rises = values[1:] != values[:-1]
-    codes = np.cumsum(rises)
-    return values[np.concatenate(([True], rises))], codes[::-1] if inverted else codes
+    values = np.empty(distinct.size + 1)
+    values[0] = 0.0
+    floats = values[1:]
+    # ascending floats: the q in descending order when inverted
+    np.divide(distinct[::-1] if inverted else distinct, divisor or 1, out=floats)
+    if inverted:
+        np.subtract(1.0, floats, out=floats)
+    marks = np.empty(values.size, dtype=bool)
+    marks[0] = True
+    np.not_equal(floats, values[:-1], out=marks[1:])
+    codes = np.cumsum(marks[1:], dtype=_code_dtype(int(np.count_nonzero(marks))))
+    return values[marks], codes[::-1] if inverted else codes
+
+
+def _product_tiles(cells: np.ndarray, product: np.ndarray):
+    """``tile(rows, cols)``, the block ``product[cols] @ cells[rows].T`` in
+    the float type of ``product``: rows of ``_upper_tiles`` come a band at
+    a time, so the band of ``cells`` is cast once for all its tiles.  With
+    the long block of ``product`` on the left the tile comes C-ordered,
+    and BLAS takes it a tenth to a third faster than its transpose at
+    n = 1000-4000."""
+    band = [None, None]
+
+    def tile(rows: slice, cols: slice) -> np.ndarray:
+        if band[0] != rows:
+            band[:] = rows, cells[rows].astype(product.dtype, copy=False)
+        return product[cols] @ band[1].T
+
+    return tile
 
 
 def _coded_distances(
-    q: np.ndarray,
+    tile,
+    u: int,
     top: int,
     divisor: int | None,
     inverted: bool,
     ids: tuple[str, ...] | None,
     rows: np.ndarray | None,
 ) -> PairwiseDistances:
-    """Distances of n documents from a u x u square q of exact non-negative
-    integers over their distinct rows: document i has row ``rows[i]``
-    (row i, and u = n, when ``rows`` is None), and the distance of the
-    pair (i, j) is q[rows[i], rows[j]] / divisor (``_integer_levels``).
-    ``top`` bounds q; a ``divisor`` of None stands for the largest q of a
-    pair.  ``q`` is an ``EnergyMatrix`` square, which checked its
-    integers, or the Hamming count, exact as built, so every cast of an
-    entry is exact; it may hold floats, and is read a tile or a block of
-    rows at a time, never cast whole.
+    """Distances of n documents from a symmetric u x u square q of exact
+    non-negative integers over their distinct rows: document i has row
+    ``rows[i]`` (row i, and u = n, when ``rows`` is None), and the
+    distance of the pair (i, j) is q[rows[i], rows[j]] / divisor
+    (``_integer_levels``).  ``top`` bounds q; a ``divisor`` of None
+    stands for the largest q of a pair.  For each of the ``_upper_tiles``
+    (rows, cols) of q, ``tile(rows, cols)`` gives its mirror q[cols, rows]
+    in any numeric dtype: from an ``EnergyMatrix``, which checked or
+    bounded its integers, or the Hamming count, exact as built, so every
+    cast of an entry is exact.  The walk reads every tile twice, for the
+    levels and then for the codes, whose upper triangle is the mirror of
+    the lower one; the codes are written unchecked, symmetric and with a
+    zero diagonal, every code indexing a level.
     """
-    u = q.shape[0]
-    # the pair rule, stamped over the diagonal of each band's first tile;
-    # its -1 lands in seen[-1], past top, or sorts first
-    pairs = np.broadcast_to(-1, u)
-    if rows is not None:
-        pairs = np.where(np.bincount(rows) > 1, q.diagonal().astype(np.intp), -1)
+    # the pair rule, stamped over the diagonal of each band's first tile:
+    # q[a, a] for a row that two documents share, else -1, which lands
+    # in seen[-1], past top, or sorts first
+    shared = np.zeros(u, dtype=bool) if rows is None else np.bincount(rows) > 1
     table = top < u * u
     if table:
         seen = np.zeros(top + 2, dtype=bool)
     else:
         # the integers of every tile, sorted once after the walk
-        kept = np.empty(sum(q[tile].size for tile in _upper_tiles(u)), dtype=np.intp)
+        size = sum((r.stop - r.start) * (c.stop - c.start) for r, c in _upper_tiles(u))
+        kept = np.empty(size, dtype=np.intp)
         end = 0
-    # ``block`` is rebound in the codes pass below, which frees the last tile
+    # ``block`` names each tile's one live temporary: rebinding it frees
+    # the one before, here and in the codes pass below
     for band, cols in _upper_tiles(u):
-        block = q[band, cols].astype(np.intp)
+        block = tile(band, cols)
+        block = block.astype(np.intp)
         if cols.start == band.start:
-            np.fill_diagonal(block, pairs[band])
+            np.fill_diagonal(block, np.where(shared[band], block.diagonal(), -1))
         if table:
             seen[block] = True
         else:
@@ -392,6 +487,7 @@ def _coded_distances(
             end += block.size
     if table:
         distinct = np.flatnonzero(seen[:-1])
+        del seen
     else:
         kept.sort()
         kept = kept[np.searchsorted(kept, 0) :]
@@ -404,20 +500,26 @@ def _coded_distances(
         lookup = np.zeros(top + 1, dtype=codes.dtype)
         lookup[distinct] = ranks
     else:
-        lookup = ranks.astype(codes.dtype)
-    for band in _blocks(u):
-        block = q[band]
-        index = block.astype(np.intp, copy=False) if table else np.searchsorted(distinct, block)
+        lookup = ranks.astype(codes.dtype, copy=False)
+    for band, cols in _upper_tiles(u):
+        block = tile(band, cols)
+        block = block.astype(np.intp, copy=False)
+        if not table:
+            # in the integer type of ``distinct``, which a float tile would
+            # make ``searchsorted`` copy to floats
+            block = np.searchsorted(distinct, block)
         # an entry that is no pair may index past the last rank: clipped,
         # it is set to 0 below (clipping also spares ``take`` a buffer)
-        np.take(lookup, index, out=codes[band], mode="clip")
+        block = np.take(lookup, block, mode="clip")
+        codes[cols, band] = block
+        codes[band, cols] = block.T
     if rows is not None:
         # each document takes its row's codes, a block of documents at a time
         square, codes = codes, np.empty((rows.size, rows.size), dtype=codes.dtype)
         for band in _blocks(rows.size):
             square.take(rows[band], axis=0).take(rows, axis=1, out=codes[band], mode="clip")
     np.fill_diagonal(codes, 0)
-    return PairwiseDistances(codes, levels, ids=ids)
+    return _fill(object.__new__(PairwiseDistances), codes=codes, levels=levels, ids=ids)
 
 
 def pair_distance(dist: PairwiseDistances, i: int, j: int) -> float:
@@ -441,20 +543,41 @@ def energy_matrix(matrix) -> EnergyMatrix:
     # every entry, intermediate and partial sum is at most n * t_max^2;
     # counted over the distinct rows, the count's bool temporary is u x p
     bound = n * int(np.count_nonzero(distinct, axis=1).max()) ** 2
-    arr = distinct.astype(_exact_float(bound), copy=False)
-    del distinct
+    dtype = _exact_float(bound)
     # W, the number of documents that share each distinct row, as a column
-    weights = None if rows is None else np.bincount(rows).astype(arr.dtype)[:, None]
+    weights = None if rows is None else np.bincount(rows).astype(dtype)[:, None]
     if 2 * p * p < u * u:
-        gram = (arr @ (arr.T @ (arr if weights is None else arr * weights))) @ arr.T
+        cells = distinct.astype(np.uint8, copy=False)
+        del distinct
+        # U^T W U summed over blocks of p rows: a block's float copy is no
+        # larger than the p x p sum, and blocks that large keep BLAS near
+        # the speed of one product
+        inner = np.zeros((p, p), dtype=dtype)
+        for band in _blocks(u, max(p, _BLOCK_ROWS)):
+            left = cells[band].astype(dtype)
+            inner += left.T @ (left if weights is None else left * weights[band])
+        # B = U (U^T W U) a band at a time, and with it the diagonal
+        # U B^T, where the largest energy lies
+        product = np.empty((u, p), dtype=dtype)
+        diagonal = np.empty(u, dtype=dtype)
+        for band in _blocks(u):
+            left = cells[band].astype(dtype)
+            np.matmul(left, inner, out=product[band])
+            diagonal[band] = np.einsum("ij,ij->i", product[band], left)
     else:
+        arr = distinct.astype(dtype, copy=False)
+        del distinct
         gram = arr @ arr.T
         # U is u x p with p near u or above in this order: freed before
         # the second product is built
         del arr
         # H H^T = H H when no row is shared, which numpy hands to BLAS syrk
-        gram = gram @ (gram.T if weights is None else gram * weights)
-    return EnergyMatrix(gram_sq=gram, ids=ids, rows=rows)
+        cells, product = None, gram @ (gram.T if weights is None else gram * weights)
+        diagonal = product.diagonal()
+    peak = _checked_peak(diagonal.max(), n)
+    return _fill(
+        object.__new__(EnergyMatrix), ids=ids, rows=rows, peak=peak, _cells=cells, _product=product
+    )
 
 
 def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> PairwiseDistances:
@@ -471,8 +594,13 @@ def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> Pair
         raise ValueError(f"mode must be one of {DISTANCE_MODES}, got {mode!r}")
     if energy.n < 2:
         raise ValueError("need at least two documents to form pairs")
+    q = energy._product
+    if energy._cells is None:
+        tile = lambda rows, cols: q[cols, rows]
+    else:
+        tile = _product_tiles(energy._cells, q)
     return _coded_distances(
-        energy.gram_sq, energy.peak, None, mode == "inverted", energy.ids, energy.rows
+        tile, q.shape[0], energy.peak, None, mode == "inverted", energy.ids, energy.rows
     )
 
 
@@ -485,21 +613,22 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
     if n < 2:
         raise ValueError("need at least two documents to form pairs")
     distinct, rows = _distinct_rows(cells)
-    # G_ab <= p, and the in-place -2 G_ab + t_a + t_b below stays within
+    # H_ab <= p, and the in-place -2 H_ab + t_a + t_b below stays within
     # [-2p, 2p] and ends at most p, the top of the codes
     arr = distinct.astype(_exact_float(2 * p), copy=False)
     del distinct
-    gram = arr @ arr.T
-    # only the u x u product is needed from here on
-    del arr
-    # a copy: the diagonal is a view of the buffer overwritten below
-    ones = gram.diagonal().copy()
-    # in place on the one u x u buffer, which ends up holding the exact
-    # integer count of differing positions of every pair of distinct rows
-    gram *= -2
-    gram += ones[:, None]
-    gram += ones[None, :]
-    return _coded_distances(gram, p, p, False, ids, rows)
+    ones = np.count_nonzero(arr, axis=1).astype(arr.dtype)
+    gram = _product_tiles(arr, arr)
+
+    def tile(rows: slice, cols: slice) -> np.ndarray:
+        # the exact count of differing positions of each pair of the tile
+        count = gram(rows, cols)
+        count *= -2
+        count += ones[cols, None]
+        count += ones[rows]
+        return count
+
+    return _coded_distances(tile, arr.shape[0], p, p, False, ids, rows)
 
 
 def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:

@@ -12,6 +12,7 @@ used to take before the n x n square became their only layout.
 
 import csv
 import io
+import math
 import random
 import tracemalloc
 import warnings
@@ -180,33 +181,21 @@ def test_energy_symmetric_nonnegative():
         assert energy.peak == int(q.max())
 
 
-class LoggedProducts(np.ndarray):
-    """A view of 0/1 cells whose matrix products, and those of the
-    products' results, append their operand shapes to ``log``."""
-
-    log: list = []
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        inputs = [np.asarray(x) for x in inputs]
-        result = getattr(ufunc, method)(*inputs, **kwargs)
-        if ufunc is not np.matmul:
-            return result
-        LoggedProducts.log.append(tuple(x.shape for x in inputs))
-        return result.view(LoggedProducts)
-
-
-FACTOR_ORDER, GRAM_ORDER = 3, 2
-"""Products that U (U^T W U) U^T runs, and that H then H (W H) runs."""
+FACTOR_ORDER, GRAM_ORDER = "U (U^T W U) U^T", "H (W H)"
 
 
 def energy_with_order(cells):
-    """``energy_matrix(cells)``, the float type it took and the number of
-    matrix products it ran, which tells the two orders apart."""
-    LoggedProducts.log = []
-    # a raw array-like would be taken in as a plain array
-    with mock.patch("defclust.distance._as_binary_array", lambda cells: (cells, None)):
-        energy, taken = float_types_taken(energy_matrix, cells.view(LoggedProducts))
-    return energy, taken, len(LoggedProducts.log)
+    """``energy_matrix(cells)``, the float type it took and the order its
+    held factors tell: in the first order U as uint8 cells and the u x p
+    product B = U (U^T W U), in the second the u x u square."""
+    energy, taken = float_types_taken(energy_matrix, cells)
+    held, u = energy._product, len(energy._product)
+    assert held.dtype == taken[0]
+    if energy._cells is None:
+        assert held.shape == (u, u)
+        return energy, taken, GRAM_ORDER
+    assert energy._cells.dtype == np.uint8 and energy._cells.shape == held.shape
+    return energy, taken, FACTOR_ORDER
 
 
 def first_energies(energy, n):
@@ -267,8 +256,8 @@ def test_blas_products_equal_int64_oracle(n, p, density, seed):
         (np.vstack([np.hstack([apart, np.zeros((n + m, u - p - k), np.uint8)])] * 3), True, GRAM_ORDER, 3),
     ]
     for cells, shared, order, times in cases:
-        energy, taken, products = energy_with_order(cells)
-        assert ((energy.rows is not None), products) == (shared, order)
+        energy, taken, taken_order = energy_with_order(cells)
+        assert ((energy.rows is not None), taken_order) == (shared, order)
         assert taken == [energy_float_type(cells)] and energy.gram_sq.dtype == taken[0]
         assert np.array_equal(first_energies(energy, n), times * expected)
 
@@ -335,11 +324,14 @@ def test_topics_corpus_energy_in_float32_equals_the_float64_product(n):
 
 
 def test_energy_distances_peak_near_one_float32_square():
-    # The float32 product (4 n^2 bytes) and the codes (1 or 2 bytes a pair)
-    # are nearly all the memory; an int64 copy of the product takes the
-    # peak to 12 n^2.
-    # In the G G order (2 p^2 >= n^2) G and G G coexist for a moment, and
-    # the float32 copy of X, 4 n p bytes, is freed before.
+    # In the X (X^T X) X^T order (2 p^2 < n^2) the energies stay factors:
+    # X as uint8 cells and B = X (X^T X) in float32 (5 n p bytes), the
+    # codes (1 or 2 bytes a pair) and one band's temporaries are nearly
+    # all the memory, 3.3 n^2 here, where the float32 square (4 n^2 bytes)
+    # took 6.3 n^2 and an int64 copy of it 12 n^2.
+    # In the G G order (2 p^2 >= n^2) G and G G coexist for a moment
+    # (8.0 n^2 here), and the float32 copy of X, 4 n p bytes, is freed
+    # before.
     gg_cells = (np.random.default_rng(3).random((1000, 900)) < 0.01).astype(np.uint8)
     for cells, squares in ((build_matrix(topics_documents(2000)).data, 7), (gg_cells, 9)):
         n = cells.shape[0]
@@ -732,9 +724,13 @@ def test_one_shared_row_peaks_no_higher_than_none(n):
         # would land on the shared side alone
         call(shared)
         call(apart)
-        _, shared_peak = traced_peak(call, shared)
-        _, apart_peak = traced_peak(call, apart)
-        assert shared_peak <= apart_peak, call.__name__
+        shared_dist, shared_peak = traced_peak(call, shared)
+        apart_dist, apart_peak = traced_peak(call, apart)
+        # the peak lies in the distance stage, which holds a few words per
+        # distance level, and at n = 1000 the repeated row gives one level
+        # more (715 against 714)
+        levels = max(0, shared_dist.levels.size - apart_dist.levels.size)
+        assert shared_peak <= apart_peak + 32 * levels, call.__name__
 
 
 @pytest.mark.parametrize("p", [20, 200])
@@ -770,8 +766,8 @@ def test_shared_rows_in_the_gram_order_build_no_u_by_n_block():
     n, u = 600, len(np.unique(cells, axis=0))
     assert u == 60
     energy_with_order(cells)
-    (energy, taken, products), peak = traced_peak(energy_with_order, cells)
-    assert (taken, products, energy.gram_sq.shape) == ([np.float32], GRAM_ORDER, (u, u))
+    (energy, taken, order), peak = traced_peak(energy_with_order, cells)
+    assert (taken, order, energy.gram_sq.shape) == ([np.float32], GRAM_ORDER, (u, u))
     assert peak < 4 * u * n, peak / (4 * u * n)
 
 
@@ -808,6 +804,199 @@ def test_unsigned_squares_mark_unshared_rows_like_int64():
                 got = energy_distance_vector(square, mode)
                 assert got.codes.tobytes() == expected.codes.tobytes(), (scale, dtype)
                 assert got.levels.tobytes() == expected.levels.tobytes(), (scale, dtype)
+
+
+# ---------------------------------------------------------------- factor tiles
+
+def square_path_levels(distinct, divisor, inverted):
+    """``_integer_levels`` as it was before it wrote into one buffer."""
+    x = distinct / divisor if divisor else distinct.astype(np.float64)
+    values = np.concatenate(([0.0], 1.0 - x[::-1] if inverted else x))
+    rises = values[1:] != values[:-1]
+    codes = np.cumsum(rises)
+    return values[np.concatenate(([True], rises))], codes[::-1] if inverted else codes
+
+
+def square_path_distances(q, top, divisor, inverted, rows):
+    """Codes and levels of the pairs of documents over the whole u x u
+    square q, the way they were built before the distances read tiles of
+    the product's factors: the levels from the ``_upper_tiles`` of q, the
+    codes from whole bands of its rows, then taken to n x n."""
+    u = q.shape[0]
+    pairs = np.broadcast_to(-1, u)
+    if rows is not None:
+        pairs = np.where(np.bincount(rows) > 1, q.diagonal().astype(np.intp), -1)
+    table = top < u * u
+    seen, kept = np.zeros(top + 2 if table else 0, dtype=bool), []
+    for band, cols in _upper_tiles(u):
+        block = q[band, cols].astype(np.intp)
+        if cols.start == band.start:
+            np.fill_diagonal(block, pairs[band])
+        if table:
+            seen[block] = True
+        else:
+            kept.append(block.ravel())
+    if table:
+        distinct = np.flatnonzero(seen[:-1])
+    else:
+        kept = np.sort(np.concatenate(kept))
+        kept = kept[np.searchsorted(kept, 0) :]
+        distinct = kept[np.concatenate(([True], kept[1:] != kept[:-1]))]
+    divisor = int(distinct[-1]) if divisor is None else divisor
+    levels, ranks = square_path_levels(distinct, divisor, inverted)
+    codes = np.empty((u, u), dtype=_code_dtype(levels.size))
+    if table:
+        lookup = np.zeros(top + 1, dtype=codes.dtype)
+        lookup[distinct] = ranks
+    else:
+        lookup = ranks.astype(codes.dtype)
+    for band in range(0, u, _BLOCK_ROWS):
+        block = q[band : band + _BLOCK_ROWS]
+        index = block.astype(np.intp) if table else np.searchsorted(distinct, block)
+        np.take(lookup, index, out=codes[band : band + _BLOCK_ROWS], mode="clip")
+    if rows is not None:
+        codes = codes[np.ix_(rows, rows)]
+    np.fill_diagonal(codes, 0)
+    return codes, levels
+
+
+def factor_order_cells(u, extra, dense, spread, density, seed):
+    """Documents over u distinct rows in the factor order (2 p^2 < u^2),
+    with ``extra`` more documents that repeat rows; the rows are shared
+    when 2u <= u + extra.  Each row holds its own number in binary, and
+    may hold each of ``spread`` of the columns left below the order's
+    width at ``density``; with ``dense``, 129 more columns that every row
+    holds take n * t_max^2 to 2^24 from n = 1024 on, and float32 rounds."""
+    rng = np.random.default_rng(seed)
+    k = u.bit_length()
+    numbers = (np.arange(1, u + 1)[:, None] >> np.arange(k)) & 1
+    # the largest p with 2 p^2 < u^2
+    width = math.isqrt((u * u - 1) // 2)
+    ones = 129 if dense and width >= 129 + k else 0
+    drawn = rng.random((u, int(spread * (width - ones - k)))) < density
+    pool = np.hstack([np.ones((u, ones)), drawn, numbers]).astype(np.uint8)
+    picks = np.concatenate([np.arange(u), rng.integers(0, u, size=extra)])
+    return pool[rng.permutation(picks)]
+
+
+def exact_products(cells, rows):
+    """The square over the distinct rows of ``cells``, each row once in the
+    order of ``rows``: its energies U (U^T W U) U^T and its counts of
+    differing positions t_a + t_b - 2 U U^T, as int64.  The products run
+    in float64, exact below 2^53, and in no blocking of the library's."""
+    rows = np.arange(len(cells)) if rows is None else rows
+    _, firsts = np.unique(rows, return_index=True)
+    distinct = cells[firsts].astype(np.float64)
+    weights = np.bincount(rows).astype(np.float64)[:, None]
+    gram = distinct @ distinct.T
+    energies = distinct @ (distinct.T @ (weights * distinct)) @ distinct.T
+    ones = np.diag(gram)
+    counts = ones[:, None] + ones[None, :] - 2 * gram
+    return energies.astype(np.int64), counts.astype(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    u=st.integers(6, 300),
+    shared=st.booleans(),
+    dense=st.booleans(),
+    spread=st.sampled_from([0.0, 0.3, 1.0]),
+    density=st.sampled_from([0.02, 0.2, 0.6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the first band ends one row short of, at and one row past u
+@example(u=_BLOCK_ROWS - 1, shared=False, dense=False, spread=1.0, density=0.2, seed=0)
+@example(u=_BLOCK_ROWS, shared=True, dense=False, spread=0.3, density=0.6, seed=1)
+@example(u=_BLOCK_ROWS + 1, shared=False, dense=False, spread=1.0, density=0.02, seed=2)
+# one column tile, and a second of one column; float32 rounds at the
+# dense rows' 2^24 and over, so these take float64
+@example(u=1023, shared=False, dense=False, spread=0.3, density=0.02, seed=3)
+@example(u=1024, shared=False, dense=True, spread=0.1, density=0.2, seed=4)
+@example(u=1025, shared=False, dense=True, spread=0.3, density=0.02, seed=5)
+@example(u=1025, shared=True, dense=True, spread=0.0, density=0.02, seed=6)
+def test_factor_tiles_give_what_the_square_path_gives(u, shared, dense, spread, density, seed):
+    n = 2 * u + seed % 3 if shared else u
+    cells = factor_order_cells(u, n - u, dense, spread, density, seed)
+    energy, taken, order = energy_with_order(cells)
+    assert order == FACTOR_ORDER and (energy.rows is not None) == shared
+    assert taken == [energy_float_type(cells)]
+    if dense and n * 129**2 >= 2**24:
+        assert taken == [np.float64]
+    energies, counts = exact_products(cells, energy.rows)
+    assert energy.peak == int(energies.max())
+    p = cells.shape[1]
+    for distance in ("inverted", "raw", "hamming"):
+        if distance == "hamming":
+            dist = hamming_distance_vector(cells)
+            codes, levels = square_path_distances(counts, p, p, False, energy.rows)
+        else:
+            dist = energy_distance_vector(energy, distance)
+            inverted = distance == "inverted"
+            codes, levels = square_path_distances(energies, energy.peak, None, inverted, energy.rows)
+        assert dist.codes.dtype == codes.dtype, distance
+        assert dist.codes.tobytes() == codes.tobytes(), distance
+        assert dist.levels.tobytes() == levels.tobytes(), distance
+        # the codes the library writes unchecked pass every check
+        assert np.array_equal(dist.codes, dist.codes.T) and not dist.codes.diagonal().any()
+        PairwiseDistances(dist.codes, dist.levels)
+
+
+@pytest.mark.parametrize("cells", [
+    # the energies of every pair are 0: the zero row meets nothing, and the
+    # rows that hold a term meet no other one (the shared zero row's own
+    # pair is 0 too)
+    np.array([[1, 0], [0, 1], [0, 0]]),
+    np.array([[0, 0], [1, 0], [0, 0], [0, 1], [0, 0], [0, 0]]),
+])
+def test_factor_tiles_of_all_zero_energies(cells):
+    energy = energy_matrix(cells)
+    assert energy._cells is not None and energy.peak == 1
+    energies, _ = exact_products(cells, energy.rows)
+    for mode in DISTANCE_MODES:
+        dist = energy_distance_vector(energy, mode)
+        inverted = mode == "inverted"
+        codes, levels = square_path_distances(energies, energy.peak, None, inverted, energy.rows)
+        assert dist.codes.tobytes() == codes.tobytes() and dist.levels.tobytes() == levels.tobytes()
+        assert dist.levels.tolist() == ([0.0, 1.0] if mode == "inverted" else [0.0])
+
+
+def test_factor_held_peak_is_the_largest_int64_energy(monkeypatch):
+    # the square is never built for ``peak``: its largest entry lies on the
+    # diagonal, sum_k B_ak U_ak, and the limit is checked against it
+    cases = [
+        factor_order_cells(200, 0, False, 1.0, 0.2, 7),
+        factor_order_cells(100, 150, False, 1.0, 0.6, 8),
+        factor_order_cells(1024, 0, True, 0.0, 0.2, 9),
+    ]
+    for cells in cases:
+        energy, taken, order = energy_with_order(cells)
+        assert order == FACTOR_ORDER
+        energies, _ = exact_products(cells, energy.rows)
+        assert energy.peak == int(energies.max()) == int(energies.diagonal().max())
+        assert energy.peak == int(energy.gram_sq.max())
+        monkeypatch.setattr("defclust.distance.EXACT_INT_LIMIT", energy.peak)
+        with pytest.raises(DataError, match=f"second-order energy {energy.peak}"):
+            energy_matrix(cells)
+        monkeypatch.setattr("defclust.distance.EXACT_INT_LIMIT", energy.peak + 1)
+        assert energy_matrix(cells).peak == energy.peak
+        monkeypatch.undo()
+
+
+def test_sorted_triangle_levels_peak_below_sixteen_squares():
+    # Random symmetric integers below 2 u^2 give nearly every pair its own
+    # level (282,987 at u = 800): the distinct integers, the levels and
+    # the uint32 codes of each are the most of the peak, beside the u x u
+    # codes.  The levels took 15 u^2 of the 20.6 u^2 peak when they were
+    # built through float64 and int64 temporaries; 15.6 u^2 is read here.
+    u = 800
+    rng = np.random.default_rng(u)
+    half = np.triu(rng.integers(0, 2 * u * u, size=(u, u)))
+    energy = EnergyMatrix((half + np.triu(half, 1).T).astype(np.float64))
+    del half
+    energy_distance_vector(energy)
+    dist, peak = traced_peak(energy_distance_vector, energy)
+    assert dist.codes.dtype == np.uint32 and dist.levels.size > 250_000
+    assert peak < 16 * u * u, peak / (u * u)
 
 
 def test_integers_that_round_to_one_float_share_a_code():
@@ -1098,11 +1287,13 @@ def test_hamming_metric_axioms_small():
 
 
 def test_hamming_peak_stays_near_one_square():
-    # with few columns the n x n float32 product and the codes are
-    # nearly all the memory a call needs; building the distances through
-    # n x n float64 temporaries would take about four float64 squares.
-    # With p near n the float copy of X (3.6 n^2 bytes here) must be freed
-    # once the product exists: kept alive, the peak reads about 10.1 n^2.
+    # The counts are read a tile at a time, so the codes (1 byte a pair
+    # here), the float copy of X and one band's temporaries are nearly all
+    # the memory a call needs: 1.1 n^2 with few columns, where building the
+    # distances through n x n float64 temporaries would take about four
+    # float64 squares.  With p near n the float copy of X (3.6 n^2 bytes)
+    # is most of the 5.4 n^2 read here; the u x u float32 product beside
+    # the codes took 7.6 n^2, and 10.1 n^2 with the copy kept alive.
     cases = [
         (random_binary(np.random.default_rng(31), 600, 6), 2 * 8),
         (np.random.default_rng(3).random((1000, 900)) < 0.01, 8.5),
