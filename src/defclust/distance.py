@@ -119,7 +119,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -151,15 +151,21 @@ in cache, where a whole band of 4,000 columns read against its
 transpose takes twice to three times as long."""
 
 
-def _upper_tiles(n: int):
-    """(rows, cols) slices that cover the upper triangle of an n x n
+def _upper_bands(n: int):
+    """(rows, [cols, ...]) slices that cover the upper triangle of an n x n
     square once, diagonal included: each band of ``_BLOCK_ROWS`` rows from
     its diagonal on, in tiles of at most ``_TILE_COLS`` columns.  The
     first tile of a band also holds the lower half of its diagonal block.
     Every read of a square's upper triangle walks these tiles."""
     for rows in _blocks(n):
-        for col in range(rows.start, n, _TILE_COLS):
-            yield rows, slice(col, min(col + _TILE_COLS, n))
+        yield rows, [slice(col, min(col + _TILE_COLS, n)) for col in range(rows.start, n, _TILE_COLS)]
+
+
+def _upper_tiles(n: int):
+    """The (rows, cols) tiles of ``_upper_bands``, one at a time."""
+    for rows, tiles in _upper_bands(n):
+        for cols in tiles:
+            yield rows, cols
 
 
 def _symmetric_tiles(square: np.ndarray, message: str):
@@ -223,7 +229,7 @@ def _distinct_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _fill(obj, **fields):
-    """``obj`` with ``fields`` set, though its class is frozen; on
+    """``obj`` with ``fields`` set, though its class is read-only; on
     ``object.__new__(cls)`` it makes an instance with none of the checks
     of ``cls``, for what the library writes from checked inputs."""
     for name, value in fields.items():
@@ -241,7 +247,6 @@ def _checked_peak(peak, n: int) -> int:
     return int(peak)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class EnergyMatrix:
     """Pairwise interaction-energy magnitudes |e_ij|.
 
@@ -261,15 +266,11 @@ class EnergyMatrix:
     when that is uint8 and no row is shared) and B = U (U^T W U) in the
     float type of the product.  ``gram_sq`` is then U B^T, built in that
     float type on each access, and so are ``values``.  In the Gram order
-    it holds the square.
+    it holds the square.  Its attributes are read-only.
     """
 
-    ids: tuple[str, ...] | None
-    rows: np.ndarray | None
-    peak: int = field(repr=False)
-    # U, or None when ``_product`` is the square itself
-    _cells: np.ndarray | None = field(repr=False)
-    _product: np.ndarray = field(repr=False)
+    # ``_cells`` is U, or None when ``_product`` is the square itself
+    __slots__ = ("ids", "rows", "peak", "_cells", "_product")
 
     def __init__(self, gram_sq, ids=None, rows=None) -> None:
         q = gram_sq
@@ -300,6 +301,12 @@ class EnergyMatrix:
         if ids is not None and len(ids) != n:
             raise ValueError("ids length must match the number of documents")
         _fill(self, ids=ids, rows=rows, peak=peak, _cells=None, _product=q)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only EnergyMatrix")
+
+    def __repr__(self) -> str:
+        return f"EnergyMatrix(n={self.n}, peak={self.peak}, ids={self.ids!r})"
 
     @property
     def n(self) -> int:
@@ -421,25 +428,18 @@ def _integer_levels(
     return values[marks], codes[::-1] if inverted else codes
 
 
-def _product_tiles(cells: np.ndarray, product: np.ndarray):
-    """``tile(rows, cols)``, the block ``product[cols] @ cells[rows].T`` in
-    the float type of ``product``: rows of ``_upper_tiles`` come a band at
-    a time, so the band of ``cells`` is cast once for all its tiles.  With
-    the long block of ``product`` on the left the tile comes C-ordered,
-    and BLAS takes it a tenth to a third faster than its transpose at
-    n = 1000-4000."""
-    band = [None, None]
-
-    def tile(rows: slice, cols: slice) -> np.ndarray:
-        if band[0] != rows:
-            band[:] = rows, cells[rows].astype(product.dtype, copy=False)
-        return product[cols] @ band[1].T
-
-    return tile
+def _product_band(cells: np.ndarray, product: np.ndarray, rows: slice):
+    """``tile(cols)``, the block ``product[cols] @ cells[rows].T`` in the
+    float type of ``product``: the band of ``cells`` is cast once, for all
+    the tiles of its band.  With the long block of ``product`` on the left
+    the tile comes C-ordered, and BLAS takes it a tenth to a third faster
+    than its transpose at n = 1000-4000."""
+    left = cells[rows].astype(product.dtype, copy=False)
+    return lambda cols: product[cols] @ left.T
 
 
 def _coded_distances(
-    tile,
+    source,
     u: int,
     top: int,
     divisor: int | None,
@@ -452,8 +452,9 @@ def _coded_distances(
     ``rows[i]`` (row i, and u = n, when ``rows`` is None), and the
     distance of the pair (i, j) is q[rows[i], rows[j]] / divisor
     (``_integer_levels``).  ``top`` bounds q; a ``divisor`` of None
-    stands for the largest q of a pair.  For each of the ``_upper_tiles``
-    (rows, cols) of q, ``tile(rows, cols)`` gives its mirror q[cols, rows]
+    stands for the largest q of a pair.  For each band of rows of
+    ``_upper_bands``, ``source(rows)`` gives ``tile``, and for each of
+    the band's tiles cols ``tile(cols)`` gives its mirror q[cols, rows]
     in any numeric dtype: from an ``EnergyMatrix``, which checked or
     bounded its integers, or the Hamming count, exact as built, so every
     cast of an entry is exact.  The walk reads every tile twice, for the
@@ -475,19 +476,21 @@ def _coded_distances(
         end = 0
     # ``block`` names each tile's one live temporary: rebinding it frees
     # the one before, here and in the codes pass below
-    for band, cols in _upper_tiles(u):
-        block = tile(band, cols)
-        block = block.astype(np.intp)
-        if cols.start == band.start:
-            np.fill_diagonal(block, np.where(shared[band], block.diagonal(), -1))
-        if table:
-            seen[block] = True
-        else:
-            kept[end : end + block.size] = block.ravel()
-            end += block.size
+    for band, tiles in _upper_bands(u):
+        tile = source(band)
+        for cols in tiles:
+            block = tile(cols)
+            block = block.astype(np.intp)
+            if cols.start == band.start:
+                np.fill_diagonal(block, np.where(shared[band], block.diagonal(), -1))
+            if table:
+                seen[block] = True
+            else:
+                kept[end : end + block.size] = block.ravel()
+                end += block.size
+    del block, tile
     if table:
         distinct = np.flatnonzero(seen[:-1])
-        del seen
     else:
         kept.sort()
         kept = kept[np.searchsorted(kept, 0) :]
@@ -499,20 +502,30 @@ def _coded_distances(
     if table:
         lookup = np.zeros(top + 1, dtype=codes.dtype)
         lookup[distinct] = ranks
+        # the codes pass, where the distances peak, then holds nothing
+        # that grows with the levels: they are taken again from ``seen``
+        del distinct, levels, ranks
     else:
         lookup = ranks.astype(codes.dtype, copy=False)
-    for band, cols in _upper_tiles(u):
-        block = tile(band, cols)
-        block = block.astype(np.intp, copy=False)
-        if not table:
-            # in the integer type of ``distinct``, which a float tile would
-            # make ``searchsorted`` copy to floats
-            block = np.searchsorted(distinct, block)
-        # an entry that is no pair may index past the last rank: clipped,
-        # it is set to 0 below (clipping also spares ``take`` a buffer)
-        block = np.take(lookup, block, mode="clip")
-        codes[cols, band] = block
-        codes[band, cols] = block.T
+    for band, tiles in _upper_bands(u):
+        tile = source(band)
+        for cols in tiles:
+            block = tile(cols)
+            block = block.astype(np.intp, copy=False)
+            if not table:
+                # in the integer type of ``distinct``, which a float tile
+                # would make ``searchsorted`` copy to floats
+                block = np.searchsorted(distinct, block)
+            # an entry that is no pair may index past the last rank:
+            # clipped, it is set to 0 below (clipping also spares ``take``
+            # a buffer)
+            block = np.take(lookup, block, mode="clip")
+            codes[cols, band] = block
+            codes[band, cols] = block.T
+    del block, tile, lookup
+    if table:
+        levels = _integer_levels(np.flatnonzero(seen[:-1]), divisor, inverted)[0]
+        del seen
     if rows is not None:
         # each document takes its row's codes, a block of documents at a time
         square, codes = codes, np.empty((rows.size, rows.size), dtype=codes.dtype)
@@ -594,13 +607,13 @@ def energy_distance_vector(energy: EnergyMatrix, mode: str = "inverted") -> Pair
         raise ValueError(f"mode must be one of {DISTANCE_MODES}, got {mode!r}")
     if energy.n < 2:
         raise ValueError("need at least two documents to form pairs")
-    q = energy._product
-    if energy._cells is None:
-        tile = lambda rows, cols: q[cols, rows]
+    q, cells = energy._product, energy._cells
+    if cells is None:
+        source = lambda rows: lambda cols: q[cols, rows]
     else:
-        tile = _product_tiles(energy._cells, q)
+        source = lambda rows: _product_band(cells, q, rows)
     return _coded_distances(
-        tile, q.shape[0], energy.peak, None, mode == "inverted", energy.ids, energy.rows
+        source, q.shape[0], energy.peak, None, mode == "inverted", energy.ids, energy.rows
     )
 
 
@@ -618,17 +631,21 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
     arr = distinct.astype(_exact_float(2 * p), copy=False)
     del distinct
     ones = np.count_nonzero(arr, axis=1).astype(arr.dtype)
-    gram = _product_tiles(arr, arr)
 
-    def tile(rows: slice, cols: slice) -> np.ndarray:
-        # the exact count of differing positions of each pair of the tile
-        count = gram(rows, cols)
-        count *= -2
-        count += ones[cols, None]
-        count += ones[rows]
-        return count
+    def source(rows: slice):
+        gram = _product_band(arr, arr, rows)
 
-    return _coded_distances(tile, arr.shape[0], p, p, False, ids, rows)
+        def tile(cols: slice) -> np.ndarray:
+            # the exact count of differing positions of each pair of the tile
+            count = gram(cols)
+            count *= -2
+            count += ones[cols, None]
+            count += ones[rows]
+            return count
+
+        return tile
+
+    return _coded_distances(source, arr.shape[0], p, p, False, ids, rows)
 
 
 def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:

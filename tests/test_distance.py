@@ -696,6 +696,17 @@ def test_energy_matrix_rows_validation():
         EnergyMatrix(q, ids=("a", "b"), rows=np.array([1, 0, 1]))
 
 
+def test_energy_matrix_is_read_only():
+    # 20 documents over 4 terms take the factor order; the 2 x 2 is a square
+    cells = np.array([[i >> k & 1 for k in range(4)] for i in range(16)] * 2, dtype=np.uint8)[:20]
+    for energy in (energy_matrix(cells), EnergyMatrix(np.eye(2, dtype=np.int64), ids=("a", "b"))):
+        for name in ("ids", "rows", "peak", "gram_sq", "_product", "other"):
+            with pytest.raises(AttributeError):
+                setattr(energy, name, None)
+    assert energy_matrix(cells)._cells is not None
+    assert repr(energy) == "EnergyMatrix(n=2, peak=1, ids=('a', 'b'))"
+
+
 def traced_peak(call, *args):
     """``call(*args)`` and the peak of the memory it traced."""
     tracemalloc.start()
@@ -724,13 +735,9 @@ def test_one_shared_row_peaks_no_higher_than_none(n):
         # would land on the shared side alone
         call(shared)
         call(apart)
-        shared_dist, shared_peak = traced_peak(call, shared)
-        apart_dist, apart_peak = traced_peak(call, apart)
-        # the peak lies in the distance stage, which holds a few words per
-        # distance level, and at n = 1000 the repeated row gives one level
-        # more (715 against 714)
-        levels = max(0, shared_dist.levels.size - apart_dist.levels.size)
-        assert shared_peak <= apart_peak + 32 * levels, call.__name__
+        _, shared_peak = traced_peak(call, shared)
+        _, apart_peak = traced_peak(call, apart)
+        assert shared_peak <= apart_peak, call.__name__
 
 
 @pytest.mark.parametrize("p", [20, 200])
