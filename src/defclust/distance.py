@@ -102,17 +102,20 @@ integers q (energies, or counts of differing positions) through one
 float division, so two integers whose floats round to one value share a
 code.  The pairs of the n documents are (a, b) for rows a != b, and
 (a, a) for each row a that two or more documents share: each band's
-first tile keeps q[a, a] on its diagonal for such a row and takes -1,
-no pair, for the others.  One walk over the ``_upper_tiles`` of the
-u x u square finds the distinct integers, marked in a table over
-0..max(q) when it has at most u^2 entries, else kept and sorted once.
-A second walk reads the tiles again and writes their codes on both
-sides of the diagonal, so the two walks together take the
-multiply-adds of one square.  The tiles come from the factors, from a
-square, or, for the Hamming count t_a + t_b - 2 H_ab (t_a the terms of
-row a), from the product of U with itself.  The u x u codes are then
-taken to n x n in one pass when documents share rows, so no n x n float
-square is built.
+first tile keeps q[a, a] on its diagonal for such a row and, for the
+others, a value no pair holds: one past the bound of q, or -1.  When
+that bound is below u^2, one walk over the ``_upper_tiles`` of the
+u x u square casts each tile once to the narrowest unsigned type that
+holds one past the bound, writes it on both sides of the diagonal of a
+u x u square of integers and marks its integers in a table over
+0..bound; a block at a time, that square is then relabelled to codes,
+in place when they take as many bytes, so the walk takes the
+multiply-adds of half a square.  Otherwise a first walk keeps the
+integers and sorts them once, and a second reads the tiles again for
+their codes.  The tiles come from the factors, from a square, or, for
+the Hamming count t_a + t_b - 2 H_ab (t_a the terms of row a), from the
+product of U with itself.  The u x u codes are then taken to n x n in
+one pass when documents share rows, so no n x n float square is built.
 """
 
 from __future__ import annotations
@@ -134,10 +137,11 @@ EXACT_INT_LIMIT = 2**53
 
 _BLOCK_ROWS = 64
 """Rows of a square handled at a time, so that no whole-square temporary
-is made: of the bands of ``_upper_tiles``, and of B as it is built.  At
-n = 1000 the product tiles of 64-row bands take a quarter less time
-than those of 32, and a sweep of a few hundred documents peaks a
-quarter higher with 128-row bands than with 64."""
+is made: of the bands of ``_upper_tiles``, of the blocks of integers
+relabelled to codes, and of B as it is built.  At n = 1000 the product
+tiles of 64-row bands take a quarter less time than those of 32, and a
+sweep of a few hundred documents peaks a quarter higher with 128-row
+bands than with 64."""
 
 
 def _blocks(n: int, rows: int = _BLOCK_ROWS) -> list[slice]:
@@ -216,7 +220,10 @@ def _distinct_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     sharing.
     """
     n = cells.shape[0]
-    packed = np.packbits(cells if cells.dtype.kind in "biu" else cells != 0, axis=1)
+    # C-ordered, as the row view needs, whatever the order of ``cells``
+    packed = np.ascontiguousarray(
+        np.packbits(cells if cells.dtype.kind in "biu" else cells != 0, axis=1)
+    )
     keys = packed.view(f"V{packed.shape[1]}").ravel().tolist() if packed.shape[1] else [b""] * n
     # read backwards, the last row written for a key is its first
     first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
@@ -438,6 +445,94 @@ def _product_band(cells: np.ndarray, product: np.ndarray, rows: slice):
     return lambda cols: product[cols] @ left.T
 
 
+def _stamped_tile(tile, band: slice, cols: slice, shared: np.ndarray, none: int, dtype):
+    """``tile(cols)``, the mirror q[cols, band] of a tile of a u x u
+    square q, cast to ``dtype``, with the pair rule stamped over the
+    diagonal of each band's first tile: q[a, a] for a row that two
+    documents share, else ``none``."""
+    block = tile(cols).astype(dtype)
+    if cols.start == band.start:
+        np.fill_diagonal(block, np.where(shared[band], block.diagonal(), none))
+    return block
+
+
+def _stamped_tiles(source, u: int, shared: np.ndarray, none: int, dtype):
+    """(rows, cols, block) for each of the ``_upper_tiles`` of q, with
+    ``block`` the ``_stamped_tile``; the caller holds the only reference
+    to each block."""
+    for band, tiles in _upper_bands(u):
+        tile = source(band)
+        for cols in tiles:
+            yield band, cols, _stamped_tile(tile, band, cols, shared, none, dtype)
+
+
+def _table_codes(
+    source, u: int, top: int, divisor: int | None, inverted: bool, shared: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and levels of a square whose integers stay within ``top``,
+    from one walk over its tiles (see ``_coded_distances``)."""
+    # the integers themselves on both sides of the diagonal, where top + 1
+    # is no pair; each tile's block is freed before the next is built
+    raw = np.empty((u, u), dtype=_code_dtype(top + 1))
+    seen = np.zeros(top + 2, dtype=bool)
+    for band, cols, block in _stamped_tiles(source, u, shared, top + 1, raw.dtype):
+        seen[block] = True
+        raw[cols, band] = block
+        raw[band, cols] = block.T
+        del block
+    distinct = np.flatnonzero(seen[:-1])
+    divisor = int(distinct[-1]) if divisor is None else divisor
+    levels, ranks = _integer_levels(distinct, divisor, inverted)
+    dtype = _code_dtype(levels.size)
+    lookup = np.zeros(top + 1, dtype=dtype)
+    lookup[distinct] = ranks
+    # the relabel, where the distances peak, then holds nothing that grows
+    # with the levels: they are taken again from ``seen``
+    del distinct, levels, ranks
+    codes = raw if dtype == raw.dtype else np.empty((u, u), dtype=dtype)
+    for band in _blocks(u):
+        for col in range(0, u, _TILE_COLS):
+            cols = slice(col, col + _TILE_COLS)
+            # no pair, top + 1, is clipped to a code that is overwritten
+            # (clipping also spares ``take`` a buffer)
+            np.take(lookup, raw[band, cols], out=codes[band, cols], mode="clip")
+    del raw, lookup
+    return codes, _integer_levels(np.flatnonzero(seen[:-1]), divisor, inverted)[0]
+
+
+def _sorted_codes(
+    source, u: int, divisor: int | None, inverted: bool, shared: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and levels of a square of any integers, from two walks over
+    its tiles (see ``_coded_distances``)."""
+    # the integers of every tile, sorted once after the walk; -1 is no pair
+    size = sum((r.stop - r.start) * (c.stop - c.start) for r, c in _upper_tiles(u))
+    kept = np.empty(size, dtype=np.intp)
+    end = 0
+    for _, _, block in _stamped_tiles(source, u, shared, -1, np.intp):
+        kept[end : end + block.size] = block.ravel()
+        end += block.size
+        del block
+    kept.sort()
+    kept = kept[np.searchsorted(kept, 0) :]
+    distinct = kept[np.concatenate(([True], kept[1:] != kept[:-1]))]
+    del kept
+    divisor = int(distinct[-1]) if divisor is None else divisor
+    levels, ranks = _integer_levels(distinct, divisor, inverted)
+    codes = np.empty((u, u), dtype=_code_dtype(levels.size))
+    lookup = ranks.astype(codes.dtype, copy=False)
+    for band, cols, block in _stamped_tiles(source, u, shared, -1, np.intp):
+        # searched in the integer type of ``distinct``, which a float tile
+        # would make ``searchsorted`` copy to floats; no pair, -1, takes
+        # code 0, which is overwritten (clipping spares ``take`` a buffer)
+        block = np.searchsorted(distinct, block)
+        block = np.take(lookup, block, mode="clip")
+        codes[cols, band] = block
+        codes[band, cols] = block.T
+        del block
+    return codes, levels
+
+
 def _coded_distances(
     source,
     u: int,
@@ -457,75 +552,20 @@ def _coded_distances(
     the band's tiles cols ``tile(cols)`` gives its mirror q[cols, rows]
     in any numeric dtype: from an ``EnergyMatrix``, which checked or
     bounded its integers, or the Hamming count, exact as built, so every
-    cast of an entry is exact.  The walk reads every tile twice, for the
-    levels and then for the codes, whose upper triangle is the mirror of
-    the lower one; the codes are written unchecked, symmetric and with a
-    zero diagonal, every code indexing a level.
+    cast of an entry is exact.  With ``top`` below u^2 one walk reads
+    every tile once, writing its integers on both sides of the diagonal
+    and marking them in a table over 0..top; the integers are then
+    relabelled to codes a block at a time, in place when the codes take
+    as many bytes.  Otherwise a first walk keeps and sorts the integers
+    and a second one reads the tiles again for their codes.  The codes
+    are written unchecked, symmetric and with a zero diagonal, every
+    code indexing a level.
     """
-    # the pair rule, stamped over the diagonal of each band's first tile:
-    # q[a, a] for a row that two documents share, else -1, which lands
-    # in seen[-1], past top, or sorts first
     shared = np.zeros(u, dtype=bool) if rows is None else np.bincount(rows) > 1
-    table = top < u * u
-    if table:
-        seen = np.zeros(top + 2, dtype=bool)
+    if top < u * u:
+        codes, levels = _table_codes(source, u, top, divisor, inverted, shared)
     else:
-        # the integers of every tile, sorted once after the walk
-        size = sum((r.stop - r.start) * (c.stop - c.start) for r, c in _upper_tiles(u))
-        kept = np.empty(size, dtype=np.intp)
-        end = 0
-    # ``block`` names each tile's one live temporary: rebinding it frees
-    # the one before, here and in the codes pass below
-    for band, tiles in _upper_bands(u):
-        tile = source(band)
-        for cols in tiles:
-            block = tile(cols)
-            block = block.astype(np.intp)
-            if cols.start == band.start:
-                np.fill_diagonal(block, np.where(shared[band], block.diagonal(), -1))
-            if table:
-                seen[block] = True
-            else:
-                kept[end : end + block.size] = block.ravel()
-                end += block.size
-    del block, tile
-    if table:
-        distinct = np.flatnonzero(seen[:-1])
-    else:
-        kept.sort()
-        kept = kept[np.searchsorted(kept, 0) :]
-        distinct = kept[np.concatenate(([True], kept[1:] != kept[:-1]))]
-        del kept
-    divisor = int(distinct[-1]) if divisor is None else divisor
-    levels, ranks = _integer_levels(distinct, divisor, inverted)
-    codes = np.empty((u, u), dtype=_code_dtype(levels.size))
-    if table:
-        lookup = np.zeros(top + 1, dtype=codes.dtype)
-        lookup[distinct] = ranks
-        # the codes pass, where the distances peak, then holds nothing
-        # that grows with the levels: they are taken again from ``seen``
-        del distinct, levels, ranks
-    else:
-        lookup = ranks.astype(codes.dtype, copy=False)
-    for band, tiles in _upper_bands(u):
-        tile = source(band)
-        for cols in tiles:
-            block = tile(cols)
-            block = block.astype(np.intp, copy=False)
-            if not table:
-                # in the integer type of ``distinct``, which a float tile
-                # would make ``searchsorted`` copy to floats
-                block = np.searchsorted(distinct, block)
-            # an entry that is no pair may index past the last rank:
-            # clipped, it is set to 0 below (clipping also spares ``take``
-            # a buffer)
-            block = np.take(lookup, block, mode="clip")
-            codes[cols, band] = block
-            codes[band, cols] = block.T
-    del block, tile, lookup
-    if table:
-        levels = _integer_levels(np.flatnonzero(seen[:-1]), divisor, inverted)[0]
-        del seen
+        codes, levels = _sorted_codes(source, u, divisor, inverted, shared)
     if rows is not None:
         # each document takes its row's codes, a block of documents at a time
         square, codes = codes, np.empty((rows.size, rows.size), dtype=codes.dtype)
@@ -627,10 +667,13 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
         raise ValueError("need at least two documents to form pairs")
     distinct, rows = _distinct_rows(cells)
     # H_ab <= p, and the in-place -2 H_ab + t_a + t_b below stays within
-    # [-2p, 2p] and ends at most p, the top of the codes
+    # [-2p, 2p] and ends at most p and at most t_a + t_b, the top of the
+    # codes
     arr = distinct.astype(_exact_float(2 * p), copy=False)
     del distinct
-    ones = np.count_nonzero(arr, axis=1).astype(arr.dtype)
+    ones = np.count_nonzero(arr, axis=1)
+    top = min(p, 2 * int(ones.max()))
+    ones = ones.astype(arr.dtype)
 
     def source(rows: slice):
         gram = _product_band(arr, arr, rows)
@@ -645,7 +688,7 @@ def hamming_distance_vector(matrix) -> PairwiseDistances:
 
         return tile
 
-    return _coded_distances(source, arr.shape[0], p, p, False, ids, rows)
+    return _coded_distances(source, arr.shape[0], top, p, False, ids, rows)
 
 
 def _labels(ids: tuple[str, ...] | None, n: int) -> list[str]:

@@ -40,6 +40,7 @@ from defclust.distance import (
     DISTANCE_MODES,
     EXACT_INT_LIMIT,
     _code_dtype,
+    _coded_distances,
     _exact_float,
     _integer_levels,
     _upper_tiles,
@@ -327,7 +328,7 @@ def test_energy_distances_peak_near_one_float32_square():
     # In the X (X^T X) X^T order (2 p^2 < n^2) the energies stay factors:
     # X as uint8 cells and B = X (X^T X) in float32 (5 n p bytes), the
     # codes (1 or 2 bytes a pair) and one band's temporaries are nearly
-    # all the memory, 3.3 n^2 here, where the float32 square (4 n^2 bytes)
+    # all the memory, 3.2 n^2 here, where the float32 square (4 n^2 bytes)
     # took 6.3 n^2 and an int64 copy of it 12 n^2.
     # In the G G order (2 p^2 >= n^2) G and G G coexist for a moment
     # (8.0 n^2 here), and the float32 copy of X, 4 n p bytes, is freed
@@ -707,6 +708,33 @@ def test_energy_matrix_is_read_only():
     assert repr(energy) == "EnergyMatrix(n=2, peak=1, ids=('a', 'b'))"
 
 
+@pytest.mark.parametrize("cells", [
+    np.eye(20, dtype=np.uint8),
+    np.vstack([np.eye(20, dtype=np.uint8)] * 3),
+    (np.random.default_rng(44).random((60, 20)) < 0.3).astype(np.uint8),
+    np.random.default_rng(45).random((30, 40)) < 0.2,
+    np.tile((np.random.default_rng(46).random((12, 9)) < 0.4).astype(np.float64), (4, 1)),
+], ids=["identity", "shared identity", "factor order", "bool", "shared floats"])
+def test_fortran_ordered_cells_give_what_c_ordered_ones_give(cells):
+    # The rows are hashed as their packed bytes, which must be C-ordered
+    # whatever the order of the cells
+    fortran = np.asfortranarray(cells)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    expected, got = energy_matrix(cells), energy_matrix(fortran)
+    assert got.peak == expected.peak
+    assert (got.rows is None) == (expected.rows is None)
+    if got.rows is not None:
+        assert np.array_equal(got.rows, expected.rows)
+    assert np.array_equal(got.gram_sq, expected.gram_sq)
+    pairs = [(hamming_distance_vector(fortran), hamming_distance_vector(cells))]
+    for mode in DISTANCE_MODES:
+        pairs.append((energy_distance_vector(got, mode), energy_distance_vector(expected, mode)))
+    for dist, oracle in pairs:
+        assert dist.codes.dtype == oracle.codes.dtype
+        assert dist.codes.tobytes() == oracle.codes.tobytes()
+        assert dist.levels.tobytes() == oracle.levels.tobytes()
+
+
 def traced_peak(call, *args):
     """``call(*args)`` and the peak of the memory it traced."""
     tracemalloc.start()
@@ -795,7 +823,8 @@ def test_sorted_triangle_peaks_below_eight_squares(u):
 
 def test_unsigned_squares_mark_unshared_rows_like_int64():
     # Rows 0-6 are shared by three documents each and row 7 by one: the
-    # pair rule marks row 7's diagonal with -1, which an unsigned square
+    # pair rule marks row 7's diagonal as no pair, one past the peak in
+    # the table and -1 in the sorted triangle, which an unsigned square
     # must not turn into its largest value.  Scaled by u^2 = 64 the
     # energies take the sorted triangle in place of the table.
     pool = np.hstack([np.eye(8, dtype=np.uint8), (np.arange(8) < 4)[:, None].astype(np.uint8)])
@@ -965,6 +994,82 @@ def test_factor_tiles_of_all_zero_energies(cells):
         codes, levels = square_path_distances(energies, energy.peak, None, inverted, energy.rows)
         assert dist.codes.tobytes() == codes.tobytes() and dist.levels.tobytes() == levels.tobytes()
         assert dist.levels.tolist() == ([0.0, 1.0] if mode == "inverted" else [0.0])
+
+
+def tiles_read(call, *args):
+    """``call(*args)``, the side of the square its distances read, and the
+    ``(rows, cols)`` of each tile they read, in order."""
+    read, sides = [], []
+
+    def counting(source, u, *rest):
+        def counted(rows):
+            tile = source(rows)
+
+            def counted_tile(cols):
+                read.append((rows, cols))
+                return tile(cols)
+
+            return counted_tile
+
+        sides.append(u)
+        return _coded_distances(counted, u, *rest)
+
+    with mock.patch("defclust.distance._coded_distances", counting):
+        result = call(*args)
+    return result, sides[0], read
+
+
+def test_the_table_reads_each_tile_once_and_the_sorted_triangle_twice():
+    # 1100 rows take two column tiles in the first bands.  Energies from
+    # the factors, from a held square and Hamming counts stay below u^2
+    # and take the table; energies scaled by u^2 are sorted.
+    cells = factor_order_cells(1100, 0, False, 0.3, 0.2, 11)
+    energy = energy_matrix(cells)
+    q = energy.gram_sq.astype(np.int64)
+    u = len(q)
+    assert energy._cells is not None and energy.rows is None and energy.peak < u * u
+    cases = [
+        (energy_distance_vector, energy, 1),
+        (energy_distance_vector, EnergyMatrix(q), 1),
+        (hamming_distance_vector, cells, 1),
+        (energy_distance_vector, EnergyMatrix(q * (u * u)), 2),
+    ]
+    tiles = list(_upper_tiles(u))
+    assert len(tiles) > -(-u // _BLOCK_ROWS)
+    expected = energy_distance_vector(energy).codes
+    for call, arg, walks in cases:
+        dist, side, read = tiles_read(call, arg)
+        assert side == u and read == tiles * walks, (call.__name__, walks)
+        if call is energy_distance_vector:
+            assert np.array_equal(dist.codes, expected)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_wide_integers_of_few_levels_take_one_byte_codes(shared):
+    # Integers up to 3000 stay below u^2 and take the table, and their
+    # square of integers two bytes a pair; their 11 values give one-byte
+    # codes, which the relabel writes into a new square.
+    rng = np.random.default_rng(43 + shared)
+    u = 60
+    half = np.triu(300 * rng.integers(0, 11, size=(u, u)))
+    q = half + np.triu(half, 1).T
+    rows = None
+    if shared:
+        rows = rng.permutation(np.concatenate([np.arange(u), rng.integers(0, u, size=2 * u)]))
+    energy = EnergyMatrix(q, rows=rows)
+    assert energy.peak < u * u and _code_dtype(energy.peak + 1) == np.uint16
+    pairs = q if rows is None else q[np.ix_(rows, rows)]
+    peak = int(pairs[~np.eye(len(pairs), dtype=bool)].max())
+    for mode in DISTANCE_MODES:
+        square = pairs / peak
+        if mode == "inverted":
+            square = 1.0 - square
+        np.fill_diagonal(square, 0.0)
+        oracle = coded_square(square)
+        dist = energy_distance_vector(energy, mode)
+        assert dist.codes.dtype == oracle.codes.dtype == np.uint8
+        assert dist.codes.tobytes() == oracle.codes.tobytes()
+        assert dist.levels.tobytes() == oracle.levels.tobytes()
 
 
 def test_factor_held_peak_is_the_largest_int64_energy(monkeypatch):
@@ -1299,7 +1404,7 @@ def test_hamming_peak_stays_near_one_square():
     # the memory a call needs: 1.1 n^2 with few columns, where building the
     # distances through n x n float64 temporaries would take about four
     # float64 squares.  With p near n the float copy of X (3.6 n^2 bytes)
-    # is most of the 5.4 n^2 read here; the u x u float32 product beside
+    # is most of the 5.1 n^2 read here; the u x u float32 product beside
     # the codes took 7.6 n^2, and 10.1 n^2 with the copy kept alive.
     cases = [
         (random_binary(np.random.default_rng(31), 600, 6), 2 * 8),
@@ -1314,6 +1419,52 @@ def test_hamming_peak_stays_near_one_square():
         finally:
             tracemalloc.stop()
         assert peak < bound * n * n, (n, peak / (n * n))
+
+
+def hamming_to_p(matrix):
+    """``hamming_distance_vector(matrix)`` with the counts bounded by the
+    vector length p alone, their divisor."""
+    def bounded_by_p(source, u, top, divisor, *rest):
+        return _coded_distances(source, u, divisor, divisor, *rest)
+
+    with mock.patch("defclust.distance._coded_distances", bounded_by_p):
+        return hamming_distance_vector(matrix)
+
+
+@pytest.mark.parametrize("longest", ["short", "long"])
+@pytest.mark.parametrize("shared", [False, True])
+def test_hamming_counts_stop_at_twice_the_longest_row(longest, shared):
+    # A count t_a + t_b - 2 H_ab is at most t_a + t_b <= 2 t_max: rows of
+    # a few terms over 400 columns stop far below p, dense rows over 12
+    # columns at p.  Either bound gives the codes of p alone.
+    rng = np.random.default_rng(47)
+    p, density = (400, 0.01) if longest == "short" else (12, 0.8)
+    cells = rng.random((300, p)) < density
+    if shared:
+        cells = np.vstack([cells[:100]] * 3)
+    t_max = int(cells.sum(axis=1).max())
+    assert (2 * t_max < p) == (longest == "short")
+    dist, expected = hamming_distance_vector(cells), hamming_to_p(cells)
+    _, codes, levels = n_by_n_distances(cells, "hamming")
+    assert dist.codes.dtype == expected.codes.dtype
+    assert dist.codes.tobytes() == expected.codes.tobytes()
+    assert np.array_equal(dist.codes, codes)
+    assert dist.levels.tobytes() == expected.levels.tobytes() == levels.tobytes()
+
+
+def test_hamming_square_of_counts_takes_one_byte_below_255():
+    # The topics counts reach 2 t_max = 24 over p = 530 columns: their
+    # square of integers takes one byte a pair, like their codes (3.6 n^2
+    # read here), where a bound of p took two and a new square for the
+    # codes (5.6 n^2).
+    matrix = build_matrix(topics_documents(1000))
+    n = matrix.n
+    assert 2 * int(matrix.data.sum(axis=1).max()) < 255 <= matrix.p
+    hamming_distance_vector(matrix)
+    dist, peak = traced_peak(hamming_distance_vector, matrix)
+    assert dist.codes.dtype == np.uint8
+    assert dist.codes.tobytes() == hamming_to_p(matrix).codes.tobytes()
+    assert peak < 4.2 * n * n, peak / (n * n)
 
 
 def test_hamming_needs_pairs_and_columns():
