@@ -100,22 +100,23 @@ index of its distance in ``levels``: 1 byte a pair up to 255 levels,
 else 2, or 4 past 65,535, instead of 8.  Both distance kinds come from
 integers q (energies, or counts of differing positions) through one
 float division, so two integers whose floats round to one value share a
-code.  The pairs of the n documents are (a, b) for rows a != b, and
-(a, a) for each row a that two or more documents share: each band's
-first tile keeps q[a, a] on its diagonal for such a row and, for the
-others, a value no pair holds: one past the bound of q, or -1.  When
-that bound is below u^2, one walk over the ``_upper_tiles`` of the
-u x u square casts each tile once to the narrowest unsigned type that
-holds one past the bound, writes it on both sides of the diagonal of a
-u x u square of integers and marks its integers in a table over
-0..bound; a block at a time, that square is then relabelled to codes,
-in place when they take as many bytes, so the walk takes the
-multiply-adds of half a square.  Otherwise a first walk keeps the
-integers and sorts them once, and a second reads the tiles again for
-their codes.  The tiles come from the factors, from a square, or, for
-the Hamming count t_a + t_b - 2 H_ab (t_a the terms of row a), from the
-product of U with itself.  The u x u codes are then taken to n x n in
-one pass when documents share rows, so no n x n float square is built.
+code.  One walk over the ``_upper_tiles`` of the u x u square q reads
+each tile once, so it takes the multiply-adds of half a square, and
+writes its integers above the diagonal of a zeroed u x u square of the
+narrowest unsigned type that holds one past the bound of q.  The tiles
+come from the factors, from a square, or, for the Hamming count
+t_a + t_b - 2 H_ab (t_a the terms of row a), from the product of U with
+itself.  The pairs of the n documents are (a, b) for rows a != b, and
+(a, a) for each row a that two or more documents share: the diagonal
+keeps q[a, a] for such a row and, for the others, takes a value no pair
+holds, one past the bound.  The distinct integers are marked in a table
+over 0..bound when that bound is below u^2, else sorted once.  One
+relabel takes the square to codes a block of rows at a time, in place
+when they take as many bytes: an integer reads its code from the table
+at its own index, or finds it by binary search among the sorted ones.
+One mirror pass then copies the codes above the diagonal below it.  The
+u x u codes are then taken to n x n in one pass when documents share
+rows, so no n x n float square is built.
 """
 
 from __future__ import annotations
@@ -445,94 +446,6 @@ def _product_band(cells: np.ndarray, product: np.ndarray, rows: slice):
     return lambda cols: product[cols] @ left.T
 
 
-def _stamped_tile(tile, band: slice, cols: slice, shared: np.ndarray, none: int, dtype):
-    """``tile(cols)``, the mirror q[cols, band] of a tile of a u x u
-    square q, cast to ``dtype``, with the pair rule stamped over the
-    diagonal of each band's first tile: q[a, a] for a row that two
-    documents share, else ``none``."""
-    block = tile(cols).astype(dtype)
-    if cols.start == band.start:
-        np.fill_diagonal(block, np.where(shared[band], block.diagonal(), none))
-    return block
-
-
-def _stamped_tiles(source, u: int, shared: np.ndarray, none: int, dtype):
-    """(rows, cols, block) for each of the ``_upper_tiles`` of q, with
-    ``block`` the ``_stamped_tile``; the caller holds the only reference
-    to each block."""
-    for band, tiles in _upper_bands(u):
-        tile = source(band)
-        for cols in tiles:
-            yield band, cols, _stamped_tile(tile, band, cols, shared, none, dtype)
-
-
-def _table_codes(
-    source, u: int, top: int, divisor: int | None, inverted: bool, shared: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Codes and levels of a square whose integers stay within ``top``,
-    from one walk over its tiles (see ``_coded_distances``)."""
-    # the integers themselves on both sides of the diagonal, where top + 1
-    # is no pair; each tile's block is freed before the next is built
-    raw = np.empty((u, u), dtype=_code_dtype(top + 1))
-    seen = np.zeros(top + 2, dtype=bool)
-    for band, cols, block in _stamped_tiles(source, u, shared, top + 1, raw.dtype):
-        seen[block] = True
-        raw[cols, band] = block
-        raw[band, cols] = block.T
-        del block
-    distinct = np.flatnonzero(seen[:-1])
-    divisor = int(distinct[-1]) if divisor is None else divisor
-    levels, ranks = _integer_levels(distinct, divisor, inverted)
-    dtype = _code_dtype(levels.size)
-    lookup = np.zeros(top + 1, dtype=dtype)
-    lookup[distinct] = ranks
-    # the relabel, where the distances peak, then holds nothing that grows
-    # with the levels: they are taken again from ``seen``
-    del distinct, levels, ranks
-    codes = raw if dtype == raw.dtype else np.empty((u, u), dtype=dtype)
-    for band in _blocks(u):
-        for col in range(0, u, _TILE_COLS):
-            cols = slice(col, col + _TILE_COLS)
-            # no pair, top + 1, is clipped to a code that is overwritten
-            # (clipping also spares ``take`` a buffer)
-            np.take(lookup, raw[band, cols], out=codes[band, cols], mode="clip")
-    del raw, lookup
-    return codes, _integer_levels(np.flatnonzero(seen[:-1]), divisor, inverted)[0]
-
-
-def _sorted_codes(
-    source, u: int, divisor: int | None, inverted: bool, shared: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Codes and levels of a square of any integers, from two walks over
-    its tiles (see ``_coded_distances``)."""
-    # the integers of every tile, sorted once after the walk; -1 is no pair
-    size = sum((r.stop - r.start) * (c.stop - c.start) for r, c in _upper_tiles(u))
-    kept = np.empty(size, dtype=np.intp)
-    end = 0
-    for _, _, block in _stamped_tiles(source, u, shared, -1, np.intp):
-        kept[end : end + block.size] = block.ravel()
-        end += block.size
-        del block
-    kept.sort()
-    kept = kept[np.searchsorted(kept, 0) :]
-    distinct = kept[np.concatenate(([True], kept[1:] != kept[:-1]))]
-    del kept
-    divisor = int(distinct[-1]) if divisor is None else divisor
-    levels, ranks = _integer_levels(distinct, divisor, inverted)
-    codes = np.empty((u, u), dtype=_code_dtype(levels.size))
-    lookup = ranks.astype(codes.dtype, copy=False)
-    for band, cols, block in _stamped_tiles(source, u, shared, -1, np.intp):
-        # searched in the integer type of ``distinct``, which a float tile
-        # would make ``searchsorted`` copy to floats; no pair, -1, takes
-        # code 0, which is overwritten (clipping spares ``take`` a buffer)
-        block = np.searchsorted(distinct, block)
-        block = np.take(lookup, block, mode="clip")
-        codes[cols, band] = block
-        codes[band, cols] = block.T
-        del block
-    return codes, levels
-
-
 def _coded_distances(
     source,
     u: int,
@@ -552,20 +465,78 @@ def _coded_distances(
     the band's tiles cols ``tile(cols)`` gives its mirror q[cols, rows]
     in any numeric dtype: from an ``EnergyMatrix``, which checked or
     bounded its integers, or the Hamming count, exact as built, so every
-    cast of an entry is exact.  With ``top`` below u^2 one walk reads
-    every tile once, writing its integers on both sides of the diagonal
-    and marking them in a table over 0..top; the integers are then
-    relabelled to codes a block at a time, in place when the codes take
-    as many bytes.  Otherwise a first walk keeps and sorts the integers
-    and a second one reads the tiles again for their codes.  The codes
-    are written unchecked, symmetric and with a zero diagonal, every
-    code indexing a level.
+    cast of an entry is exact.
+
+    One walk reads every tile once and writes its integers above the
+    diagonal of a zeroed u x u square of the narrowest unsigned type that
+    holds top + 1, the value of no pair.  The two forks differ only in
+    how they find the distinct integers and how an integer finds its
+    code.  With ``top`` below u^2 the integers of the upper tiles are
+    marked in a table over 0..top, and an integer reads its code from the
+    table at its own index.  Otherwise they are copied out in the raw
+    type and sorted once, and an integer finds its code by
+    ``searchsorted`` among the distinct ones.  One relabel then takes
+    whole blocks of rows of the square to codes, in place when they take
+    as many bytes, and one mirror pass copies each upper tile's codes
+    below the diagonal.  The codes are written unchecked, symmetric and
+    with a zero diagonal, every code indexing a level.
     """
+    raw = np.zeros((u, u), dtype=np.min_scalar_type(top + 1))
+    for band, tiles in _upper_bands(u):
+        tile = source(band)
+        for cols in tiles:
+            raw[band, cols] = tile(cols).T
+    # the last band's source holds its rows of the factors
+    del tile
+    # the pair rule: q[a, a] for a row that two documents share, else
+    # top + 1, which no pair holds
     shared = np.zeros(u, dtype=bool) if rows is None else np.bincount(rows) > 1
-    if top < u * u:
-        codes, levels = _table_codes(source, u, top, divisor, inverted, shared)
+    np.fill_diagonal(raw, np.where(shared, raw.diagonal(), top + 1))
+    upper = [raw[band, cols] for band, cols in _upper_tiles(u)]
+    table = top < u * u
+    if table:
+        seen = np.zeros(top + 2, dtype=bool)
+        for block in upper:
+            seen[block] = True
+        distinct = np.flatnonzero(seen[:-1])
     else:
-        codes, levels = _sorted_codes(source, u, divisor, inverted, shared)
+        # no pair, top + 1, sorts last, once on the diagonal of each row
+        # that no two documents share
+        kept = np.concatenate(upper, axis=None)
+        kept.sort()
+        kept = kept[: kept.size - (u - int(np.count_nonzero(shared)))]
+        distinct = kept[np.concatenate(([True], kept[1:] != kept[:-1]))]
+        del kept
+    del upper
+    divisor = int(distinct[-1]) if divisor is None else divisor
+    levels, ranks = _integer_levels(distinct, divisor, inverted)
+    if table:
+        lookup = np.zeros(top + 1, dtype=ranks.dtype)
+        lookup[distinct] = ranks
+        # the relabel, where the distances peak, then holds nothing that
+        # grows with the levels: they are taken again from ``seen``
+        del distinct, levels
+    else:
+        # ``take`` copies a lookup that is not contiguous, as inverted
+        # ranks are, at each call
+        lookup = np.ascontiguousarray(ranks)
+    del ranks
+    codes = raw if lookup.dtype == raw.dtype else np.empty((u, u), dtype=lookup.dtype)
+    for band in _blocks(u):
+        for col in range(0, u, _TILE_COLS):
+            cols = slice(col, col + _TILE_COLS)
+            index = raw[band, cols] if table else np.searchsorted(distinct, raw[band, cols])
+            # no pair, and the zeros below the diagonal, take codes that
+            # are overwritten (clipping also spares ``take`` a buffer)
+            np.take(lookup, index, out=codes[band, cols], mode="clip")
+            del index
+    del raw, lookup
+    for band, cols in _upper_tiles(u):
+        # the diagonal block of a band's first tile is already symmetric
+        rest = slice(max(cols.start, band.stop), cols.stop)
+        codes[rest, band] = codes[band, rest].T
+    if table:
+        levels = _integer_levels(np.flatnonzero(seen[:-1]), divisor, inverted)[0]
     if rows is not None:
         # each document takes its row's codes, a block of documents at a time
         square, codes = codes, np.empty((rows.size, rows.size), dtype=codes.dtype)

@@ -810,8 +810,11 @@ def test_shared_rows_in_the_gram_order_build_no_u_by_n_block():
 def test_sorted_triangle_peaks_below_eight_squares(u):
     # Topics energies scaled by u^2 keep their levels and reach u^2, so
     # the distinct ones are found by sorting the integers of the upper
-    # tiles (about 4 u^2 bytes in int64); a bool mask of the triangle
-    # beside them, and a float64 copy of its entries, took 9 u^2.
+    # tiles.  The peak holds the uint32 square of integers (4 u^2 bytes)
+    # and those integers copied out beside it (about 2 u^2) and sorted;
+    # 7.2 u^2 is read here.  Kept in int64 with no square beside them,
+    # the tiles read twice, they took 5.4 u^2; a bool mask of the
+    # triangle, and a float64 copy of its entries, took 9 u^2.
     energy = energy_matrix(build_matrix(topics_documents(u)))
     scaled = EnergyMatrix(energy.gram_sq.astype(np.float64) * (u * u))
     assert energy.rows is None and scaled.peak >= u * u
@@ -823,10 +826,11 @@ def test_sorted_triangle_peaks_below_eight_squares(u):
 
 def test_unsigned_squares_mark_unshared_rows_like_int64():
     # Rows 0-6 are shared by three documents each and row 7 by one: the
-    # pair rule marks row 7's diagonal as no pair, one past the peak in
-    # the table and -1 in the sorted triangle, which an unsigned square
-    # must not turn into its largest value.  Scaled by u^2 = 64 the
-    # energies take the sorted triangle in place of the table.
+    # pair rule marks row 7's diagonal as no pair, one past the peak,
+    # which is stamped on the square of integers in the narrowest type
+    # that holds it, so a square of the peak's own unsigned type cannot
+    # wrap it.  Scaled by u^2 = 64 the energies take the sorted triangle
+    # in place of the table.
     pool = np.hstack([np.eye(8, dtype=np.uint8), (np.arange(8) < 4)[:, None].astype(np.uint8)])
     energy = energy_matrix(np.vstack([pool[:7]] * 3 + [pool[7:]]))
     assert np.bincount(energy.rows).tolist() == [3] * 7 + [1]
@@ -840,6 +844,42 @@ def test_unsigned_squares_mark_unshared_rows_like_int64():
                 got = energy_distance_vector(square, mode)
                 assert got.codes.tobytes() == expected.codes.tobytes(), (scale, dtype)
                 assert got.levels.tobytes() == expected.levels.tobytes(), (scale, dtype)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("u", [12, 20, 260])
+def test_raw_squares_at_the_edges_of_their_dtype(u, shared):
+    # The walk writes the integers in the narrowest unsigned type that
+    # holds top + 1, the value of no pair: of each pair of tops below,
+    # one short of and at 2^8 - 1, 2^16 - 1 and 2^32 - 1, the second
+    # takes the next type up, and 2^53 - 1, the largest energy, a uint64
+    # square.  Tops below u^2 take the table: none at u = 12, the first
+    # two at u = 20 and all but the last three at u = 260.
+    rng = np.random.default_rng(u + shared)
+    rows = None
+    if shared:
+        rows = rng.permutation(np.concatenate([np.arange(u), rng.integers(0, u, size=u)]))
+    tops = (2**8 - 2, 2**8 - 1, 2**16 - 2, 2**16 - 1, 2**32 - 2, 2**32 - 1, 2**53 - 1)
+    raw_types = [np.min_scalar_type(top + 1) for top in tops]
+    assert raw_types == [np.uint8, np.uint16, np.uint16, np.uint32, np.uint32, np.uint64, np.uint64]
+    for top in tops:
+        half = np.triu(rng.integers(0, top, size=(u, u), endpoint=True))
+        half[0, 1] = top
+        q = half + np.triu(half, 1).T
+        energy = EnergyMatrix(q, rows=rows)
+        assert energy.peak == top
+        pairs = q if rows is None else q[np.ix_(rows, rows)]
+        peak = int(pairs[~np.eye(len(pairs), dtype=bool)].max())
+        for mode in DISTANCE_MODES:
+            square = pairs / peak
+            if mode == "inverted":
+                square = 1.0 - square
+            np.fill_diagonal(square, 0.0)
+            oracle = coded_square(square)
+            dist = energy_distance_vector(energy, mode)
+            assert dist.codes.dtype == oracle.codes.dtype, (top, mode)
+            assert dist.codes.tobytes() == oracle.codes.tobytes(), (top, mode)
+            assert dist.levels.tobytes() == oracle.levels.tobytes(), (top, mode)
 
 
 # ---------------------------------------------------------------- factor tiles
@@ -1019,29 +1059,35 @@ def tiles_read(call, *args):
     return result, sides[0], read
 
 
-def test_the_table_reads_each_tile_once_and_the_sorted_triangle_twice():
+def test_every_source_reads_each_tile_once():
     # 1100 rows take two column tiles in the first bands.  Energies from
     # the factors, from a held square and Hamming counts stay below u^2
-    # and take the table; energies scaled by u^2 are sorted.
+    # and take the table; energies scaled by u^2, and those of dense rows
+    # from the factors, are sorted.  Either fork reads each tile once.
     cells = factor_order_cells(1100, 0, False, 0.3, 0.2, 11)
     energy = energy_matrix(cells)
     q = energy.gram_sq.astype(np.int64)
     u = len(q)
     assert energy._cells is not None and energy.rows is None and energy.peak < u * u
+    dense = factor_order_cells(1100, 0, True, 0.3, 0.2, 11)
+    wide = energy_matrix(dense)
+    assert wide._cells is not None and wide.rows is None and wide.peak >= u * u
     cases = [
-        (energy_distance_vector, energy, 1),
-        (energy_distance_vector, EnergyMatrix(q), 1),
-        (hamming_distance_vector, cells, 1),
-        (energy_distance_vector, EnergyMatrix(q * (u * u)), 2),
+        (energy_distance_vector, energy),
+        (energy_distance_vector, EnergyMatrix(q)),
+        (hamming_distance_vector, cells),
+        (energy_distance_vector, EnergyMatrix(q * (u * u))),
+        (energy_distance_vector, wide),
     ]
     tiles = list(_upper_tiles(u))
     assert len(tiles) > -(-u // _BLOCK_ROWS)
     expected = energy_distance_vector(energy).codes
-    for call, arg, walks in cases:
+    wide_codes, _ = square_path_distances(exact_products(dense, None)[0], wide.peak, None, True, None)
+    for call, arg in cases:
         dist, side, read = tiles_read(call, arg)
-        assert side == u and read == tiles * walks, (call.__name__, walks)
+        assert side == u and read == tiles, (call.__name__, len(read))
         if call is energy_distance_vector:
-            assert np.array_equal(dist.codes, expected)
+            assert np.array_equal(dist.codes, wide_codes if arg is wide else expected)
 
 
 @pytest.mark.parametrize("shared", [False, True])
